@@ -12,17 +12,20 @@ import argparse
 import json
 import secrets
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from claimsplice import __version__
-from claimsplice.composite import MODEL_TAGS, CompositeModel, CompositeParams, HEAD_FAMILIES
+from claimsplice.composite import FAMILIES, TAGS, CompositeModel, CompositeParams, family_of_tag
 from claimsplice.families import InverseWeibullParams
 from claimsplice.copula import BivariateModel, GumbelCopula
 from claimsplice.estimation import (
     ConvergenceError,
     DegenerateDataError,
     OptimizerConfig,
+    aic,
+    bic,
     empirical_kendall_tau,
     fit_bivariate_by_tag,
 )
@@ -36,17 +39,11 @@ EXIT_INPUT = 2
 EXIT_CONVERGENCE = 3
 EXIT_PARAMS = 4
 
-_FAMILY_BY_HEAD = {v: k for k, v in MODEL_TAGS.items()}
-
 
 def _marginal_to_dict(params: CompositeParams, r):
     h = params.head
     return {
-        "family": _FAMILY_BY_HEAD[
-            {"WeibullParams": "weibull", "ParalogisticParams": "paralogistic", "InverseBurrParams": "invburr"}[
-                type(h).__name__
-            ]
-        ],
+        "family": FAMILIES[params.family].tag,
         "mu": h.mu,
         "sigma": h.sigma,
         "tau": getattr(h, "tau", None),
@@ -58,13 +55,10 @@ def _marginal_to_dict(params: CompositeParams, r):
 
 
 def _marginal_from_dict(d):
-    fam = MODEL_TAGS[d["family"]] if d["family"] in MODEL_TAGS else d["family"]
-    head_cls = HEAD_FAMILIES[fam]
-    head_kwargs = {"mu": d["mu"], "sigma": d["sigma"]}
-    if fam == "invburr":
-        head_kwargs["tau"] = d["tau"]
+    """Parameters of one marginal; "family" is a model tag or a head name."""
+    head_cls = FAMILIES[family_of_tag(d["family"]) or d["family"]].head
     return CompositeParams(
-        head=head_cls(**head_kwargs),
+        head=head_cls(**{f.name: d[f.name] for f in fields(head_cls)}),
         tail=InverseWeibullParams(alpha=d["alpha"], gamma=d["gamma"]),
         theta=d["theta"],
     )
@@ -151,8 +145,8 @@ def _density_overlay(model, data, bins):
 
 def cmd_fit(args):
     sample = load_csv(args.input, cols=args.cols, strict=args.strict)
-    config = OptimizerConfig(max_iter=args.max_iter, tol=args.tol, restarts=args.restarts, seed=args.seed)
-    tags = sorted(MODEL_TAGS) if args.family == "all" else [args.family]
+    config = OptimizerConfig(max_iter=args.max_iter, tol=args.tol, restarts=args.restarts)
+    tags = TAGS if args.family == "all" else [args.family]
     models = []
     for tag in tags:
         rep = fit_bivariate_by_tag(sample.claim1, sample.claim2, tag, config)
@@ -196,9 +190,7 @@ def cmd_eval(args):
     model = load_params_json(args.params)
     sample = load_csv(args.input, cols=args.cols, strict=args.strict)
     loglik = model.log_likelihood(sample.claim1, sample.claim2)
-    df = (5 if model.marginal1.params.family_code != 2 else 6) + (
-        5 if model.marginal2.params.family_code != 2 else 6
-    ) + 1
+    df = FAMILIES[model.marginal1.params.family].df + FAMILIES[model.marginal2.params.family].df + 1
     doc = {
         "schema": SCHEMA,
         "version": __version__,
@@ -209,8 +201,8 @@ def cmd_eval(args):
         "loglik": loglik,
         "df": df,
         "df_fixed_thresholds": df - 2,
-        "aic": -2 * loglik + 2 * df,
-        "bic": -2 * loglik + np.log(sample.n) * df,
+        "aic": aic(loglik, df),
+        "bic": bic(loglik, df, sample.n),
         "phi": model.copula.phi,
         "model_tau": model.copula.kendall_tau(),
         "empirical_tau": empirical_kendall_tau(sample.claim1, sample.claim2),
@@ -242,7 +234,7 @@ def build_parser():
 
     f = sub.add_parser("fit", help="fit one or all composite families")
     common(f)
-    f.add_argument("--family", choices=sorted(MODEL_TAGS) + ["all"], default="all")
+    f.add_argument("--family", choices=TAGS + ["all"], default="all")
     f.add_argument("--restarts", type=int, default=3)
     f.add_argument("--tol", type=float, default=1e-8)
     f.add_argument("--max-iter", type=int, default=5000)

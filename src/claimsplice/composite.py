@@ -13,8 +13,8 @@ not overflow. The cdf at the threshold equals r by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import astuple, dataclass, fields
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -26,25 +26,41 @@ from claimsplice.families import (
     WeibullParams,
     _check_positive_y,
     _check_prob,
-    _softplus,
 )
 
 HeadParams = Union[WeibullParams, ParalogisticParams, InverseBurrParams]
 
-HEAD_FAMILIES = {
-    "weibull": WeibullParams,
-    "paralogistic": ParalogisticParams,
-    "invburr": InverseBurrParams,
-}
 
-_FAMILY_CODES = {
-    WeibullParams: _kernels.WEIBULL,
-    ParalogisticParams: _kernels.PARALOGISTIC,
-    InverseBurrParams: _kernels.INVBURR,
-}
+class Family(NamedTuple):
+    """One composite model: its report tag and its head parameter class."""
 
-# CLI-facing tags for the three composite models
-MODEL_TAGS = {"wiw": "weibull", "pariw": "paralogistic", "ibiw": "invburr"}
+    tag: str
+    head: type
+
+    @property
+    def dim(self):
+        """Number of head parameters: the fields of the head class."""
+        return len(fields(self.head))
+
+    @property
+    def df(self):
+        """Free parameters of one marginal: the head's, alpha, gamma and theta."""
+        return self.dim + 3
+
+
+# The three composite models, keyed by head name; each splices its head to an
+# Inverse Weibull tail.
+FAMILIES = {
+    "weibull": Family("wiw", WeibullParams),
+    "paralogistic": Family("pariw", ParalogisticParams),
+    "invburr": Family("ibiw", InverseBurrParams),
+}
+TAGS = sorted(f.tag for f in FAMILIES.values())
+
+
+def family_of_tag(tag):
+    """Head name of a composite-model tag ('wiw' -> 'weibull'), or None."""
+    return next((name for name, f in FAMILIES.items() if f.tag == tag), None)
 
 
 @dataclass(frozen=True)
@@ -56,64 +72,24 @@ class CompositeParams:
     theta: float
 
     def __post_init__(self):
-        if type(self.head) not in _FAMILY_CODES:
+        if self.family is None:
             raise ValueError(f"unsupported head family {type(self.head).__name__}")
         if not (np.isfinite(self.theta) and self.theta > 0.0):
             raise ValueError(f"theta must be finite and > 0, got {self.theta!r}")
 
     @property
-    def family_code(self):
-        return _FAMILY_CODES[type(self.head)]
+    def family(self):
+        """Head name of the head parameters, a key of FAMILIES (None for a foreign head)."""
+        return next((name for name, f in FAMILIES.items() if type(self.head) is f.head), None)
 
     def as_vector(self):
         """Raw parameter vector in kernel layout [head..., alpha, gamma, theta]."""
-        head = [getattr(self.head, f) for f in ("mu", "sigma", "tau") if hasattr(self.head, f)]
-        return np.array(head + [self.tail.alpha, self.tail.gamma, self.theta], dtype=float)
-
-
-def _log_weight_terms(params: CompositeParams):
-    """(log A, log B) of the continuity condition, A = f_T F_H, B = f_H S_T at theta."""
-    th = params.theta
-    log_a = params.tail.logpdf(th) + params.head.logcdf(th)
-    log_b = params.head.logpdf(th) + params.tail.logsf(th)
-    return float(log_a), float(log_b)
+        return np.array(astuple(self.head) + astuple(self.tail) + (self.theta,), dtype=float)
 
 
 def mixing_weight(params: CompositeParams):
     """Continuity mixing weight r in [0, 1], computed stably in log space."""
-    log_a, log_b = _log_weight_terms(params)
-    if not (np.isfinite(log_a) or np.isfinite(log_b)):
-        raise ValueError(
-            "degenerate composite: both continuity terms underflow at theta "
-            f"(theta={params.theta!r})"
-        )
-    return float(np.exp(-_softplus(log_b - log_a)))
-
-
-def mixing_weight_direct(params: CompositeParams):
-    """r from the per-family closed-form A/(A+B) expressions in plain arithmetic.
-
-    Redundant with :func:`mixing_weight` by algebra; kept as the direct
-    transcription of the closed forms for cross-checking.
-    """
-    h, t, th = params.head, params.tail, params.theta
-    f_t = (t.alpha / th) * (t.gamma / th) ** t.alpha * np.exp(-((t.gamma / th) ** t.alpha))
-    s_t = 1.0 - np.exp(-((t.gamma / th) ** t.alpha))
-    if isinstance(h, WeibullParams):
-        cdf_h = 1.0 - np.exp(-((th / h.sigma) ** h.mu))
-        f_h = (h.mu / h.sigma) * np.exp(-((th / h.sigma) ** h.mu)) * (th / h.sigma) ** (h.mu - 1.0)
-    elif isinstance(h, ParalogisticParams):
-        cdf_h = 1.0 - (1.0 / ((h.sigma * th) ** h.mu + 1.0)) ** h.mu
-        f_h = h.mu**2 * (th * h.sigma) ** h.mu / (th * ((th * h.sigma) ** h.mu + 1.0) ** (h.mu + 1.0))
-    else:
-        cdf_h = ((h.tau * th) ** h.sigma + 1.0) ** (-h.mu) * (h.tau * th) ** (h.mu * h.sigma)
-        f_h = (
-            h.mu * h.sigma * (th * h.tau) ** (h.mu * h.sigma)
-            / (th * ((th * h.tau) ** h.sigma + 1.0) ** (h.mu + 1.0))
-        )
-    a = f_t * cdf_h
-    b = f_h * s_t
-    return float(a / (a + b))
+    return CompositeModel(params).r
 
 
 class CompositeModel:
@@ -124,15 +100,17 @@ class CompositeModel:
 
     def __init__(self, params: CompositeParams):
         self.params = params
-        log_a, log_b = _log_weight_terms(params)
-        if not (np.isfinite(log_a) or np.isfinite(log_b)):
-            raise ValueError("degenerate composite: continuity terms underflow at theta")
-        self.log_r = float(-_softplus(log_b - log_a))
-        self.log_1mr = float(-_softplus(log_a - log_b))
+        constants = _kernels.splice_constants(
+            type(params.head), astuple(params.head), params.tail.alpha, params.tail.gamma, params.theta
+        )
+        if constants is None:
+            raise ValueError(
+                "degenerate composite: both continuity terms underflow at theta "
+                f"(theta={params.theta!r})"
+            )
+        # log weights, and the normalizers F_H(theta) and S_T(theta) in logs
+        self.log_r, self.log_1mr, self.log_head_cdf_theta, self.log_tail_sf_theta = map(float, constants)
         self.r = float(np.exp(self.log_r))
-        # cached normalizers: F_H(theta) and S_T(theta), in logs
-        self.log_head_cdf_theta = float(params.head.logcdf(params.theta))
-        self.log_tail_sf_theta = float(params.tail.logsf(params.theta))
 
     @property
     def theta(self):
@@ -193,9 +171,9 @@ class CompositeModel:
         return self.ppf(u)
 
     def log_likelihood(self, data):
-        """Sum of log densities over the observations (compiled kernel path)."""
+        """Sum of log densities over the observations, by the likelihood kernel."""
         data = np.ascontiguousarray(_check_positive_y(data), dtype=float)
-        nll = _kernels.composite_nll(self.params.family_code, self.params.as_vector(), data)
+        nll = _kernels.composite_nll(type(self.params.head), self.params.as_vector(), data)
         return -nll
 
     def smoothness_gap(self, h=1e-5):

@@ -51,20 +51,7 @@ class GumbelCopula:
 
     def logpdf(self, u, v):
         u, v = _check_uv(u, v)
-        p = self.phi
-        lu, lv = -np.log(u), -np.log(v)
-        a, b = p * np.log(lu), p * np.log(lv)
-        m = np.maximum(a, b)
-        log_s = m + np.log1p(np.exp(-np.abs(a - b)))
-        w = np.exp(log_s / p)
-        return (
-            -w
-            + (p - 1.0) * (np.log(lu) + np.log(lv))
-            + lu
-            + lv
-            + (1.0 / p - 2.0) * log_s
-            + np.log(w + p - 1.0)
-        )
+        return _kernels.gumbel_logpdf(self.phi, u, v)
 
     def pdf(self, u, v):
         return np.exp(self.logpdf(u, v))

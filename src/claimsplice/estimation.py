@@ -20,16 +20,8 @@ import numpy as np
 from scipy import optimize
 
 from claimsplice import _kernels
-from claimsplice.composite import (
-    MODEL_TAGS,
-    CompositeModel,
-    CompositeParams,
-    HEAD_FAMILIES,
-    InverseBurrParams,
-    InverseWeibullParams,
-    ParalogisticParams,
-    WeibullParams,
-)
+from claimsplice.composite import FAMILIES, TAGS, CompositeModel, CompositeParams, family_of_tag
+from claimsplice.families import InverseWeibullParams
 from claimsplice.copula import BivariateModel, GumbelCopula, clamp_pseudo_obs
 
 
@@ -48,7 +40,6 @@ class OptimizerConfig:
     restarts: int = 3
     simplex_scale: float = 0.1
     min_n: int = 20
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -125,16 +116,12 @@ def bic(loglik, df, n):
 # ---------------------------------------------------------------------------
 # stage 1: marginal fits
 
-_HEAD_DIM = {"weibull": 2, "paralogistic": 2, "invburr": 3}
-
-
-def _pack_params(family, x, lo, hi):
-    """Transformed optimizer vector -> raw kernel parameter vector.
+def _pack_params(k, x, lo, hi):
+    """Transformed optimizer vector -> raw kernel parameter vector, for a head of k parameters.
 
     Positive parameters ride on the log scale; the threshold is squashed
     into (lo, hi) by a logistic so every simplex point stays feasible.
     """
-    k = _HEAD_DIM[family]
     raw = np.empty(k + 3)
     raw[: k + 2] = np.exp(x[: k + 2])
     t = x[k + 2]
@@ -164,14 +151,6 @@ def _initial_guesses(family, data, theta0):
     return np.array(head + tail + [theta0])
 
 
-def _raw_to_params(family, raw):
-    k = _HEAD_DIM[family]
-    head_cls = HEAD_FAMILIES[family]
-    head = head_cls(*raw[:k])
-    tail = InverseWeibullParams(alpha=raw[k], gamma=raw[k + 1])
-    return CompositeParams(head=head, tail=tail, theta=float(raw[k + 2]))
-
-
 def fit_marginal(data, family, config=None):
     """Maximum-likelihood fit of one composite marginal.
 
@@ -180,8 +159,8 @@ def fit_marginal(data, family, config=None):
     the best local maximum.
     """
     config = config or OptimizerConfig()
-    if family not in HEAD_FAMILIES:
-        raise ValueError(f"unknown head family {family!r}; expected one of {sorted(HEAD_FAMILIES)}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown head family {family!r}; expected one of {sorted(FAMILIES)}")
     data = np.ascontiguousarray(data, dtype=float)
     if np.any(data <= 0) or np.any(~np.isfinite(data)):
         raise ValueError("all observations must be strictly positive and finite")
@@ -190,14 +169,13 @@ def fit_marginal(data, family, config=None):
     if np.all(data == data[0]):
         raise DegenerateDataError("degenerate sample: all observations are equal")
 
-    code = {"weibull": _kernels.WEIBULL, "paralogistic": _kernels.PARALOGISTIC, "invburr": _kernels.INVBURR}[family]
+    head_cls, k = FAMILIES[family].head, FAMILIES[family].dim
     lo, hi = float(np.min(data)), float(np.max(data))
-    k = _HEAD_DIM[family]
 
     def objective(x):
         if np.any(np.abs(x) > 700):
             return np.inf
-        return _kernels.composite_nll(code, _pack_params(family, x, lo, hi), data)
+        return _kernels.composite_nll(head_cls, _pack_params(k, x, lo, hi), data)
 
     quantiles = [0.5, 0.7, 0.9]
     best = None
@@ -223,15 +201,16 @@ def fit_marginal(data, family, config=None):
 
     if not np.isfinite(best.fun):
         raise ConvergenceError(f"no finite likelihood found for family {family!r}")
-    raw = _pack_params(family, best.x, lo, hi)
-    params = _raw_to_params(family, raw)
+    raw = _pack_params(k, best.x, lo, hi)
+    tail = InverseWeibullParams(alpha=raw[k], gamma=raw[k + 1])
+    params = CompositeParams(head=head_cls(*raw[:k]), tail=tail, theta=float(raw[k + 2]))
     model = CompositeModel(params)
     return MarginalFit(
         family=family,
         params=params,
         r=model.r,
         loglik=-float(best.fun),
-        df=k + 3,
+        df=FAMILIES[family].df,
         converged=bool(best.success),
         n_iter=total_iter,
         n=data.size,
@@ -296,67 +275,10 @@ def fit_bivariate(y1, y2, family1, family2, config=None):
 
 def fit_bivariate_by_tag(y1, y2, tag, config=None):
     """Fit using a composite-model tag ('wiw', 'pariw', 'ibiw') for both marginals."""
-    if tag not in MODEL_TAGS:
-        raise ValueError(f"unknown model tag {tag!r}; expected one of {sorted(MODEL_TAGS)}")
-    fam = MODEL_TAGS[tag]
+    fam = family_of_tag(tag)
+    if fam is None:
+        raise ValueError(f"unknown model tag {tag!r}; expected one of {TAGS}")
     return fit_bivariate(y1, y2, fam, fam, config)
-
-
-def joint_mle_refinement(y1, y2, report, config=None):
-    """Optional one-step joint MLE over all parameters starting at the
-    two-stage estimates. Off the default path; not part of the two-stage
-    procedure proper.
-    """
-    config = config or OptimizerConfig()
-    y1 = np.ascontiguousarray(y1, dtype=float)
-    y2 = np.ascontiguousarray(y2, dtype=float)
-    fam1, fam2 = report.marginal1.family, report.marginal2.family
-    code1 = {"weibull": 0, "paralogistic": 1, "invburr": 2}[fam1]
-    code2 = {"weibull": 0, "paralogistic": 1, "invburr": 2}[fam2]
-    k1, k2 = _HEAD_DIM[fam1], _HEAD_DIM[fam2]
-    lo1, hi1 = float(np.min(y1)), float(np.max(y1))
-    lo2, hi2 = float(np.min(y2)), float(np.max(y2))
-
-    def split(x):
-        x1 = x[: k1 + 3]
-        x2 = x[k1 + 3 : k1 + 3 + k2 + 3]
-        eta = x[-1]
-        return x1, x2, eta
-
-    def objective(x):
-        if np.any(np.abs(x) > 700):
-            return np.inf
-        x1, x2, eta = split(x)
-        raw1 = _pack_params(fam1, x1, lo1, hi1)
-        raw2 = _pack_params(fam2, x2, lo2, hi2)
-        nll = _kernels.composite_nll(code1, raw1, y1) + _kernels.composite_nll(code2, raw2, y2)
-        if not np.isfinite(nll):
-            return np.inf
-        m1 = CompositeModel(_raw_to_params(fam1, raw1))
-        m2 = CompositeModel(_raw_to_params(fam2, raw2))
-        u = np.ascontiguousarray(clamp_pseudo_obs(m1.cdf(y1)))
-        v = np.ascontiguousarray(clamp_pseudo_obs(m2.cdf(y2)))
-        return nll + _kernels.gumbel_nll(1.0 + math.exp(eta), u, v)
-
-    def to_x(fit, lo, hi, k):
-        raw = fit.params.as_vector()
-        return np.concatenate([np.log(raw[: k + 2]), [_unpack_theta(raw[k + 2], lo, hi)]])
-
-    x0 = np.concatenate([
-        to_x(report.marginal1, lo1, hi1, k1),
-        to_x(report.marginal2, lo2, hi2, k2),
-        [math.log(max(report.copula.phi - 1.0, 1e-8))],
-    ])
-    res = optimize.minimize(objective, x0, method="Nelder-Mead",
-                            options={"maxiter": config.max_iter, "fatol": config.tol})
-    x1, x2, eta = split(res.x)
-    return {
-        "params1": _raw_to_params(fam1, _pack_params(fam1, x1, lo1, hi1)),
-        "params2": _raw_to_params(fam2, _pack_params(fam2, x2, lo2, hi2)),
-        "phi": 1.0 + math.exp(eta),
-        "loglik": -float(res.fun),
-        "converged": bool(res.success),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ Weibull (tail). Each exposes pdf/cdf/quantile plus log-scale variants;
 everything is computed in log space internally so the kernels stay finite
 for claims spanning many orders of magnitude.
 
+Each log-density, log-cdf and log-sf formula is written once, as a static
+method ``unchecked_log*(y, *params)`` of its parameter class that takes the
+parameters in field order and validates nothing. The public methods validate
+their input and call it; the likelihood kernels call it directly.
+
 Scale conventions follow the multiplicative form of the densities: the
 Paralogistic sigma and Inverse Burr tau enter as ``(y * sigma)`` and
 ``(y * tau)``, i.e. they are *rate-like* (units 1/currency). Fitted values
@@ -15,7 +20,7 @@ ordinary scales in currency units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -65,6 +70,15 @@ class _PositiveParamsMixin:
             if not (np.isfinite(v) and v > 0.0):
                 raise ValueError(f"{type(self).__name__}.{f.name} must be finite and > 0, got {v!r}")
 
+    def logpdf(self, y):
+        return self.unchecked_logpdf(_check_positive_y(y), *astuple(self))
+
+    def logcdf(self, y):
+        return self.unchecked_logcdf(_check_positive_y(y), *astuple(self))
+
+    def logsf(self, y):
+        return self.unchecked_logsf(_check_positive_y(y), *astuple(self))
+
     def pdf(self, y):
         return np.exp(self.logpdf(y))
 
@@ -82,19 +96,18 @@ class WeibullParams(_PositiveParamsMixin):
     mu: float
     sigma: float
 
-    def logpdf(self, y):
-        y = _check_positive_y(y)
-        z = np.log(y) - np.log(self.sigma)
-        return np.log(self.mu) - np.log(self.sigma) + (self.mu - 1.0) * z - np.exp(self.mu * z)
+    @staticmethod
+    def unchecked_logpdf(y, mu, sigma):
+        z = np.log(y) - np.log(sigma)
+        return np.log(mu) - np.log(sigma) + (mu - 1.0) * z - np.exp(mu * z)
 
-    def logcdf(self, y):
-        y = _check_positive_y(y)
-        t = np.exp(self.mu * (np.log(y) - np.log(self.sigma)))
-        return _log1mexp(t)
+    @staticmethod
+    def unchecked_logcdf(y, mu, sigma):
+        return _log1mexp(np.exp(mu * (np.log(y) - np.log(sigma))))
 
-    def logsf(self, y):
-        y = _check_positive_y(y)
-        return -np.exp(self.mu * (np.log(y) - np.log(self.sigma)))
+    @staticmethod
+    def unchecked_logsf(y, mu, sigma):
+        return -np.exp(mu * (np.log(y) - np.log(sigma)))
 
     def ppf(self, u):
         u = _check_prob(u)
@@ -108,21 +121,19 @@ class ParalogisticParams(_PositiveParamsMixin):
     mu: float
     sigma: float
 
-    def logpdf(self, y):
-        y = _check_positive_y(y)
-        t = self.mu * (np.log(y) + np.log(self.sigma))
-        return 2.0 * np.log(self.mu) + t - np.log(y) - (self.mu + 1.0) * _softplus(t)
+    @staticmethod
+    def unchecked_logpdf(y, mu, sigma):
+        t = mu * (np.log(y) + np.log(sigma))
+        return 2.0 * np.log(mu) + t - np.log(y) - (mu + 1.0) * _softplus(t)
 
-    def logcdf(self, y):
-        y = _check_positive_y(y)
-        t = self.mu * (np.log(y) + np.log(self.sigma))
+    @staticmethod
+    def unchecked_logcdf(y, mu, sigma):
         # 1 - exp(-mu * softplus(t))
-        return _log1mexp(self.mu * _softplus(t))
+        return _log1mexp(mu * _softplus(mu * (np.log(y) + np.log(sigma))))
 
-    def logsf(self, y):
-        y = _check_positive_y(y)
-        t = self.mu * (np.log(y) + np.log(self.sigma))
-        return -self.mu * _softplus(t)
+    @staticmethod
+    def unchecked_logsf(y, mu, sigma):
+        return -mu * _softplus(mu * (np.log(y) + np.log(sigma)))
 
     def ppf(self, u):
         u = _check_prob(u)
@@ -142,26 +153,18 @@ class InverseBurrParams(_PositiveParamsMixin):
     sigma: float
     tau: float
 
-    def logpdf(self, y):
-        y = _check_positive_y(y)
-        z = np.log(y) + np.log(self.tau)
-        return (
-            np.log(self.mu)
-            + np.log(self.sigma)
-            + self.mu * self.sigma * z
-            - np.log(y)
-            - (self.mu + 1.0) * _softplus(self.sigma * z)
-        )
+    @staticmethod
+    def unchecked_logpdf(y, mu, sigma, tau):
+        z = np.log(y) + np.log(tau)
+        return np.log(mu) + np.log(sigma) + mu * sigma * z - np.log(y) - (mu + 1.0) * _softplus(sigma * z)
 
-    def logcdf(self, y):
-        y = _check_positive_y(y)
-        z = np.log(y) + np.log(self.tau)
-        return -self.mu * _softplus(-self.sigma * z)
+    @staticmethod
+    def unchecked_logcdf(y, mu, sigma, tau):
+        return -mu * _softplus(-sigma * (np.log(y) + np.log(tau)))
 
-    def logsf(self, y):
-        y = _check_positive_y(y)
-        z = np.log(y) + np.log(self.tau)
-        return _log1mexp(self.mu * _softplus(-self.sigma * z))
+    @staticmethod
+    def unchecked_logsf(y, mu, sigma, tau):
+        return _log1mexp(mu * _softplus(-sigma * (np.log(y) + np.log(tau))))
 
     def ppf(self, u):
         u = _check_prob(u)
@@ -177,19 +180,18 @@ class InverseWeibullParams(_PositiveParamsMixin):
     alpha: float
     gamma: float
 
-    def logpdf(self, y):
-        y = _check_positive_y(y)
-        z = np.log(self.gamma) - np.log(y)
-        return np.log(self.alpha) - np.log(y) + self.alpha * z - np.exp(self.alpha * z)
+    @staticmethod
+    def unchecked_logpdf(y, alpha, gamma):
+        z = np.log(gamma) - np.log(y)
+        return np.log(alpha) - np.log(y) + alpha * z - np.exp(alpha * z)
 
-    def logcdf(self, y):
-        y = _check_positive_y(y)
-        return -np.exp(self.alpha * (np.log(self.gamma) - np.log(y)))
+    @staticmethod
+    def unchecked_logcdf(y, alpha, gamma):
+        return -np.exp(alpha * (np.log(gamma) - np.log(y)))
 
-    def logsf(self, y):
-        y = _check_positive_y(y)
-        t = np.exp(self.alpha * (np.log(self.gamma) - np.log(y)))
-        return _log1mexp(t)
+    @staticmethod
+    def unchecked_logsf(y, alpha, gamma):
+        return _log1mexp(np.exp(alpha * (np.log(gamma) - np.log(y))))
 
     def ppf(self, u):
         u = _check_prob(u)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -15,7 +16,7 @@ class IngestError(ValueError):
 
 @dataclass
 class ClaimPairSample:
-    """Paired strictly-positive claim amounts with provenance."""
+    """Paired strictly-positive, finite claim amounts with provenance."""
 
     claim1: np.ndarray
     claim2: np.ndarray
@@ -29,6 +30,8 @@ class ClaimPairSample:
             raise IngestError("claim columns have unequal lengths")
         if self.claim1.size < 1:
             raise IngestError("empty sample")
+        if not (np.all(np.isfinite(self.claim1)) and np.all(np.isfinite(self.claim2))):
+            raise IngestError("claim amounts must be finite")
         if np.any(self.claim1 <= 0) or np.any(self.claim2 <= 0):
             raise IngestError("claim amounts must be strictly positive")
 
@@ -57,8 +60,9 @@ def load_csv(path, cols="0,1", delimiter=",", decimal=".", strict=False, has_hea
     """Load a two-column claim-pair sample from a CSV file.
 
     ``cols`` selects the two columns by header name or 0-based index.
-    Rows with nonpositive or unparseable values are rejected with a
-    row-numbered diagnostic; in strict mode the first bad row aborts.
+    Rows with nonpositive, non-finite (nan, inf, or overflowing such as
+    1e400) or unparseable values are rejected with a row-numbered
+    diagnostic; in strict mode the first bad row aborts.
     ``decimal`` supports European exports (e.g. decimal=',').
     ``has_header`` of None sniffs: a first row that fails numeric parsing
     is treated as a header.
@@ -100,18 +104,19 @@ def load_csv(path, cols="0,1", delimiter=",", decimal=".", strict=False, has_hea
             v1, v2 = parse(row[idx[0]]), parse(row[idx[1]])
         except (ValueError, IndexError):
             msg = f"row {rownum}: unparseable values {row!r}"
-            if strict:
-                raise IngestError(f"{path}: {msg}")
-            rejected.append(msg)
-            continue
-        if v1 <= 0 or v2 <= 0:
-            msg = f"row {rownum}: nonpositive claim amount ({v1}, {v2})"
-            if strict:
-                raise IngestError(f"{path}: {msg}")
-            rejected.append(msg)
-            continue
-        c1.append(v1)
-        c2.append(v2)
+        else:
+            # math.isfinite: one scalar check per row; np.isfinite on a Python float is ~40x slower
+            if not (math.isfinite(v1) and math.isfinite(v2)):
+                msg = f"row {rownum}: non-finite claim amount ({v1}, {v2})"
+            elif v1 <= 0 or v2 <= 0:
+                msg = f"row {rownum}: nonpositive claim amount ({v1}, {v2})"
+            else:
+                c1.append(v1)
+                c2.append(v2)
+                continue
+        if strict:
+            raise IngestError(f"{path}: {msg}")
+        rejected.append(msg)
     if not c1:
         raise IngestError(f"{path}: no valid rows ({len(rejected)} rejected)")
     return ClaimPairSample(np.array(c1), np.array(c2), source=str(path), rejected_rows=rejected)

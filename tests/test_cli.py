@@ -6,6 +6,7 @@ import pytest
 from claimsplice.cli import EXIT_CONVERGENCE, EXIT_INPUT, EXIT_OK, EXIT_PARAMS, main
 from claimsplice.composite import CompositeModel, CompositeParams
 from claimsplice.copula import BivariateModel, GumbelCopula
+from claimsplice.estimation import aic, bic
 from claimsplice.families import InverseWeibullParams, WeibullParams
 from tests.test_composite import WIW
 
@@ -87,6 +88,13 @@ def test_fit_missing_input():
     assert run(["fit", "--input", "/does/not/exist.csv", "--seed", "1"]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+def test_fit_non_finite_claim_is_input_error(tmp_path, bad):
+    p = tmp_path / "bad.csv"
+    p.write_text("a,b\n" + "".join(f"{i + 1},{i + 2}\n" for i in range(30)) + f"{bad},5\n", encoding="utf-8")
+    assert run(["fit", "--input", p, "--cols", "a,b", "--family", "wiw", "--seed", "1", "--strict"]) == EXIT_INPUT
+
+
 def test_fit_text_format(data_csv, tmp_path):
     out = tmp_path / "report.txt"
     assert run(["fit", "--input", data_csv, "--cols", "tcost_bi,tcost_pd", "--family", "wiw",
@@ -132,6 +140,29 @@ def test_eval_consistent_with_model(params_json, data_csv, tmp_path):
         assert 0.9 < mass <= 1.0 + 1e-6
     # exact generating parameters on their own sample: KS should be small
     assert doc["ks"]["claim1"] < 0.05 and doc["ks"]["claim2"] < 0.05
+
+
+def test_eval_lenient_drops_non_finite_rows(params_json, data_csv, tmp_path):
+    noisy = tmp_path / "noisy.csv"
+    noisy.write_text(data_csv.read_text() + "\nnan,5\n1e400,3\n7,inf\n", encoding="utf-8")
+    out = tmp_path / "eval.json"
+    assert run(["eval", "--params", params_json, "--input", noisy,
+                "--cols", "tcost_bi,tcost_pd", "--seed", "1", "--out", out]) == EXIT_OK
+    assert json.loads(out.read_text())["n"] == 3000
+
+
+def test_eval_df_and_criteria_follow_the_families(data_csv, tmp_path):
+    doc = dict(PARAMS_DOC, marginal2={"family": "ibiw", "mu": 1.2, "sigma": 1.6, "tau": 0.0004,
+                                      "alpha": 1.3, "gamma": 10000.0, "theta": 7000.0})
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "eval.json"
+    assert run(["eval", "--params", params, "--input", data_csv,
+                "--cols", "tcost_bi,tcost_pd", "--seed", "1", "--out", out]) == EXIT_OK
+    rep = json.loads(out.read_text())
+    assert rep["df"] == 5 + 6 + 1 and rep["df_fixed_thresholds"] == 10
+    assert rep["aic"] == aic(rep["loglik"], 12)
+    assert rep["bic"] == bic(rep["loglik"], 12, 3000)
 
 
 def test_simulate_fit_round_trip(params_json, tmp_path):

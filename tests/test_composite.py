@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from claimsplice.composite import (
-    CompositeModel,
-    CompositeParams,
-    mixing_weight,
-    mixing_weight_direct,
-)
+from claimsplice.composite import CompositeModel, CompositeParams, mixing_weight
 from claimsplice.families import (
     InverseBurrParams,
     InverseWeibullParams,
@@ -29,6 +24,32 @@ WIW = CompositeParams(WeibullParams(1.5, 2000.0), InverseWeibullParams(1.2, 8000
 PIW = CompositeParams(ParalogisticParams(1.3, 0.0005), InverseWeibullParams(1.5, 9000.0), 6000.0)
 IBIW = CompositeParams(InverseBurrParams(1.2, 1.6, 0.0004), InverseWeibullParams(1.3, 10000.0), 7000.0)
 MODELS = [WIW, PIW, IBIW]
+
+
+def mixing_weight_direct(params: CompositeParams):
+    """r from the per-family closed-form A/(A+B) expressions in plain arithmetic.
+
+    Redundant with :func:`mixing_weight` by algebra; kept as the direct
+    transcription of the closed forms for cross-checking.
+    """
+    h, t, th = params.head, params.tail, params.theta
+    f_t = (t.alpha / th) * (t.gamma / th) ** t.alpha * np.exp(-((t.gamma / th) ** t.alpha))
+    s_t = 1.0 - np.exp(-((t.gamma / th) ** t.alpha))
+    if isinstance(h, WeibullParams):
+        cdf_h = 1.0 - np.exp(-((th / h.sigma) ** h.mu))
+        f_h = (h.mu / h.sigma) * np.exp(-((th / h.sigma) ** h.mu)) * (th / h.sigma) ** (h.mu - 1.0)
+    elif isinstance(h, ParalogisticParams):
+        cdf_h = 1.0 - (1.0 / ((h.sigma * th) ** h.mu + 1.0)) ** h.mu
+        f_h = h.mu**2 * (th * h.sigma) ** h.mu / (th * ((th * h.sigma) ** h.mu + 1.0) ** (h.mu + 1.0))
+    else:
+        cdf_h = ((h.tau * th) ** h.sigma + 1.0) ** (-h.mu) * (h.tau * th) ** (h.mu * h.sigma)
+        f_h = (
+            h.mu * h.sigma * (th * h.tau) ** (h.mu * h.sigma)
+            / (th * ((th * h.tau) ** h.sigma + 1.0) ** (h.mu + 1.0))
+        )
+    a = f_t * cdf_h
+    b = f_h * s_t
+    return float(a / (a + b))
 
 
 @pytest.mark.parametrize("params,expected", PUBLISHED_WEIGHTS)

@@ -15,7 +15,6 @@ from claimsplice.estimation import (
     fit_bivariate_by_tag,
     fit_copula,
     fit_marginal,
-    joint_mle_refinement,
 )
 from claimsplice.families import InverseWeibullParams, WeibullParams
 from tests.test_composite import IBIW, PIW, WIW
@@ -215,16 +214,6 @@ def test_fit_bivariate_near_independence_sanity():
     # joint AIC must be within one penalty unit of zero
     marginal_aic = aic(rep.marginal1.loglik + rep.marginal2.loglik, rep.df - 1)
     assert abs(rep.aic - marginal_aic) <= 2.0
-
-
-def test_joint_refinement_does_not_degrade_likelihood():
-    from claimsplice.copula import BivariateModel
-
-    model = BivariateModel(CompositeModel(WIW), CompositeModel(PIW), GumbelCopula(1.5))
-    y1, y2 = model.sample_pairs(1000, 37)
-    rep = fit_bivariate(y1, y2, "weibull", "paralogistic")
-    refined = joint_mle_refinement(y1, y2, rep)
-    assert refined["loglik"] >= rep.loglik - 1e-6
 
 
 # ---------------------------------------------------------------------------

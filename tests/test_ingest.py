@@ -46,6 +46,21 @@ def test_lenient_mode_rejects_with_diagnostics(tmp_path):
     assert "row 3" in s.rejected_rows[0]
 
 
+@pytest.mark.parametrize("bad", ["nan", "NaN", "inf", "-inf", "1e400"])
+def test_strict_mode_rejects_non_finite(tmp_path, bad):
+    p = write(tmp_path, f"a,b\n1,2\n3,{bad}\n")
+    with pytest.raises(IngestError, match="row 3: non-finite"):
+        load_csv(p, cols="a,b", strict=True)
+
+
+def test_lenient_mode_rejects_non_finite(tmp_path):
+    p = write(tmp_path, "a,b\n1,2\nnan,5\n4,inf\n1e400,3\n4,4\n")
+    s = load_csv(p, cols="a,b")
+    assert s.claim1.tolist() == [1.0, 4.0]
+    assert [r.split(":")[0] for r in s.rejected_rows] == ["row 3", "row 4", "row 5"]
+    assert all("non-finite" in r for r in s.rejected_rows)
+
+
 def test_missing_column(tmp_path):
     p = write(tmp_path, "a,b\n1,2\n")
     with pytest.raises(IngestError, match="not found"):
@@ -142,3 +157,6 @@ def test_sample_invariants():
         ClaimPairSample([1.0], [2.0, 3.0])
     with pytest.raises(IngestError):
         ClaimPairSample([1.0, -1.0], [2.0, 3.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(IngestError, match="finite"):
+            ClaimPairSample([1.0, 2.0], [2.0, bad])

@@ -1,63 +1,52 @@
-"""Cross-checks between the compiled kernels and the pure-numpy fallback."""
+"""The likelihood kernels against direct sums of the model log densities."""
 
-import os
-import subprocess
-import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from claimsplice import _kernels
-from claimsplice._kernels import _ref
 from claimsplice.composite import CompositeModel
+from claimsplice.copula import GumbelCopula
+from claimsplice.families import WeibullParams
 from tests.conftest import FAMILIES, random_composite
 
-_fastkern = pytest.importorskip("claimsplice._kernels._fastkern")
+
+def _check_nll(params, data):
+    nll = _kernels.composite_nll(type(params.head), params.as_vector(), data)
+    assert nll == pytest.approx(-np.sum(CompositeModel(params).logpdf(data)), rel=1e-10)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_composite_nll_backends_agree(family, rng):
-    code = FAMILIES.index(family)
+def test_composite_nll_equals_sum_of_logpdf(family, rng):
     for _ in range(25):
         params = random_composite(family, rng)
         data = np.ascontiguousarray(CompositeModel(params).sample(500, rng))
-        vec = params.as_vector()
-        ref = _ref.composite_nll(code, vec, data)
-        fast = _fastkern.composite_nll(code, vec, data)
-        assert fast == pytest.approx(ref, rel=1e-10)
+        _check_nll(params, data)
+        # a threshold on a data point, the minimum or the maximum: y <= theta is head
+        for theta in (data[rng.integers(data.size)], data.min(), data.max()):
+            _check_nll(replace(params, theta=float(theta)), data)
 
 
 def test_composite_nll_invalid_params_infinite():
     data = np.array([1.0, 2.0])
-    bad = np.array([1.0, -1.0, 1.0, 1.0, 1.0])
-    assert _ref.composite_nll(0, bad, data) == np.inf
-    assert _fastkern.composite_nll(0, bad, data) == np.inf
+    for bad in ([1.0, -1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 1.0, 1.0, 1.0], [np.nan, 1.0, 1.0, 1.0, 1.0],
+                [1.0, 1.0, 1.0, 1.0, np.inf]):
+        assert _kernels.composite_nll(WeibullParams, np.array(bad), data) == np.inf
+    # theta far outside both supports: both continuity terms underflow
+    with np.errstate(over="ignore"):
+        assert _kernels.composite_nll(WeibullParams, np.array([5.0, 1e-80, 5.0, 1e80, 1.0]), data) == np.inf
 
 
-def test_gumbel_nll_backends_agree(rng):
+def test_gumbel_nll_equals_sum_of_logpdf(rng):
     for phi in (1.0, 1.3, 2.0, 10.0, 150.0):
         u = np.ascontiguousarray(rng.uniform(1e-10, 1 - 1e-10, size=300))
         v = np.ascontiguousarray(rng.uniform(1e-10, 1 - 1e-10, size=300))
-        assert _fastkern.gumbel_nll(phi, u, v) == pytest.approx(_ref.gumbel_nll(phi, u, v), rel=1e-10)
+        expected = -np.sum(GumbelCopula(phi).logpdf(u, v))
+        assert _kernels.gumbel_nll(phi, u, v) == pytest.approx(expected, rel=1e-10)
 
 
 def test_gumbel_nll_inadmissible_phi():
     u = np.array([0.5])
-    assert _ref.gumbel_nll(0.5, u, u) == np.inf
-    assert _fastkern.gumbel_nll(0.5, u, u) == np.inf
-
-
-def test_env_var_forces_pure_backend():
-    env = dict(os.environ, CLAIMSPLICE_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from claimsplice import _kernels; print(_kernels.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"
-
-
-def test_default_backend_is_compiled():
-    assert _kernels.BACKEND == "cython"
+    for phi in (0.5, 1.0 - 1e-12, np.nan):
+        assert _kernels.gumbel_nll(phi, u, u) == np.inf
