@@ -91,6 +91,19 @@ def _report_from_fit(tag, rep):
     }
 
 
+def _report_head(command, args, sample):
+    """Top-level keys of the fit and eval reports; "ingest" holds the rows the loader rejected."""
+    return {
+        "schema": SCHEMA,
+        "version": __version__,
+        "command": command,
+        "input": args.input,
+        "n": sample.n,
+        "seed": args.seed,
+        "ingest": {"rows_rejected": len(sample.rejected_rows), "rejected": sample.rejected_rows[:10]},
+    }
+
+
 def _emit(doc, args):
     text = json.dumps(doc, sort_keys=True, indent=2) if args.format == "json" else _text_report(doc)
     if args.out:
@@ -153,12 +166,7 @@ def cmd_fit(args):
         models.append(_report_from_fit(tag, rep))
     models.sort(key=lambda m: (m["aic"], m["bic"]))
     doc = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": "fit",
-        "input": args.input,
-        "n": sample.n,
-        "seed": args.seed,
+        **_report_head("fit", args, sample),
         "summary": summarize_sample(sample),
         "models": models,
     }
@@ -167,8 +175,6 @@ def cmd_fit(args):
 
 def cmd_simulate(args):
     model = load_params_json(args.params)
-    if args.n < 1:
-        raise IngestError("n must be >= 1")
     y1, y2 = model.sample_pairs(args.n, args.seed)
     meta = [
         f"schema={PARAMS_SCHEMA} version={__version__} seed={args.seed} n={args.n}",
@@ -192,12 +198,7 @@ def cmd_eval(args):
     loglik = model.log_likelihood(sample.claim1, sample.claim2)
     df = FAMILIES[model.marginal1.params.family].df + FAMILIES[model.marginal2.params.family].df + 1
     doc = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": "eval",
-        "input": args.input,
-        "n": sample.n,
-        "seed": args.seed,
+        **_report_head("eval", args, sample),
         "loglik": loglik,
         "df": df,
         "df_fixed_thresholds": df - 2,
@@ -254,11 +255,21 @@ def build_parser():
     return p
 
 
+def _check_options(args):
+    """Out-of-range option values are input errors (exit 2), whatever the command."""
+    for name in ("n", "restarts", "max_iter", "bins"):
+        if getattr(args, name, 1) < 1:
+            raise IngestError(f"--{name.replace('_', '-')} must be >= 1, got {getattr(args, name)}")
+    if not getattr(args, "tol", 1.0) > 0:
+        raise IngestError(f"--tol must be > 0, got {args.tol}")
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.seed is None:
         args.seed = secrets.randbits(32)
     try:
+        _check_options(args)
         args.func(args)
     except (IngestError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -284,47 +284,31 @@ def fit_bivariate_by_tag(y1, y2, tag, config=None):
 # ---------------------------------------------------------------------------
 # dependence diagnostics
 
-def _merge_count(y, buf, lo, mid, hi):
-    """Merge step counting inversions between y[lo:mid] and y[mid:hi]."""
-    i, j, k, swaps = lo, mid, lo, 0
-    while i < mid and j < hi:
-        if y[j] < y[i]:
-            buf[k] = y[j]
-            swaps += mid - i
-            j += 1
-        else:
-            buf[k] = y[i]
-            i += 1
-        k += 1
-    buf[k:hi] = y[i:mid] if i < mid else y[j:hi]
-    y[lo:hi] = buf[lo:hi]
-    return swaps
+def _tied_pairs(*sorted_cols):
+    """Pairs of rows equal in every column, for rows sorted so that equal rows are adjacent."""
+    change = np.logical_or.reduce([col[1:] != col[:-1] for col in sorted_cols])
+    runs = np.diff(np.flatnonzero(np.concatenate(([True], change, [True]))))
+    return int(np.sum(runs * (runs - 1) // 2))
 
 
-def _count_inversions(y):
-    y = y.copy()
-    buf = np.empty_like(y)
-    swaps = 0
-    width = 1
+def _inversions(y):
+    """Pairs i < j with y[j] < y[i], by a bottom-up merge sort over integer ranks.
+
+    Keys block * n + rank keep the blocks apart in one sorted array: per level, one
+    searchsorted counts inversions across every block's halves and one sort merges them.
+    """
     n = y.size
+    keys = np.searchsorted(np.sort(y), y)  # ranks in [0, n); ties share one
+    swaps, width = 0, 1
     while width < n:
-        for lo in range(0, n - width, 2 * width):
-            swaps += _merge_count(y, buf, lo, lo + width, min(lo + 2 * width, n))
+        block, offset = np.divmod(np.arange(n), 2 * width)
+        right = offset >= width
+        keys = block * n + keys % n
+        # every block with a right half has a full left half: (b + 1) * width left elements up to block b
+        swaps += int(np.sum((block[right] + 1) * width - np.searchsorted(keys[~right], keys[right], side="right")))
+        keys = np.sort(keys)
         width *= 2
     return swaps
-
-
-def _tie_count(sorted_vals):
-    """Sum of t*(t-1)/2 over groups of equal consecutive values."""
-    total = 0
-    run = 1
-    for a, b in zip(sorted_vals[:-1], sorted_vals[1:]):
-        if a == b:
-            run += 1
-        else:
-            total += run * (run - 1) // 2
-            run = 1
-    return total + run * (run - 1) // 2
 
 
 def empirical_kendall_tau(x, y):
@@ -337,16 +321,17 @@ def empirical_kendall_tau(x, y):
     n = x.size
     if n < 2 or y.size != n:
         raise ValueError("need two equal-length samples with n >= 2")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("Kendall's tau needs finite observations")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise DegenerateDataError("Kendall's tau undefined for a constant coordinate")
 
     order = np.lexsort((y, x))
     xs, ys = x[order], y[order]
     n0 = n * (n - 1) // 2
-    n1 = _tie_count(xs)  # pairs tied in x
-    n2 = _tie_count(np.sort(ys))  # pairs tied in y
-    # pairs tied in both coordinates
-    joint = _tie_count([(a, b) for a, b in zip(xs, ys)])
-    swaps = _count_inversions(ys)
+    n1 = _tied_pairs(xs)  # pairs tied in x
+    n2 = _tied_pairs(np.sort(ys))  # pairs tied in y
+    joint = _tied_pairs(xs, ys)  # pairs tied in both coordinates
+    swaps = _inversions(ys)  # ys ascends within tied x, so tied-x pairs never count
     num = n0 - n1 - n2 + joint - 2 * swaps
     return num / math.sqrt((n0 - n1) * (n0 - n2))

@@ -125,6 +125,22 @@ def test_simulate_rejects_zero_n(params_json):
     assert run(["simulate", "--params", params_json, "--n", "0", "--seed", "1"]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("cmd", [
+    ["fit", "--restarts", "0"],
+    ["fit", "--max-iter", "0"],
+    ["fit", "--tol", "-1"],
+    ["fit", "--tol", "0"],
+    ["eval", "--bins", "0"],
+    ["simulate", "--n", "-3"],
+])
+def test_out_of_range_options_are_input_errors(cmd, params_json, data_csv, capsys):
+    paths = {"fit": ["--input", data_csv, "--cols", "tcost_bi,tcost_pd"],
+             "eval": ["--input", data_csv, "--cols", "tcost_bi,tcost_pd", "--params", params_json],
+             "simulate": ["--params", params_json]}[cmd[0]]
+    assert run(cmd + paths + ["--seed", "1"]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error:")
+
+
 def test_eval_consistent_with_model(params_json, data_csv, tmp_path):
     out = tmp_path / "eval.json"
     assert run(["eval", "--params", params_json, "--input", data_csv,
@@ -148,7 +164,23 @@ def test_eval_lenient_drops_non_finite_rows(params_json, data_csv, tmp_path):
     out = tmp_path / "eval.json"
     assert run(["eval", "--params", params_json, "--input", noisy,
                 "--cols", "tcost_bi,tcost_pd", "--seed", "1", "--out", out]) == EXIT_OK
-    assert json.loads(out.read_text())["n"] == 3000
+    doc = json.loads(out.read_text())
+    assert doc["n"] == 3000
+    assert doc["ingest"]["rows_rejected"] == 3
+    assert [d.split(":")[0] for d in doc["ingest"]["rejected"]] == ["row 3002", "row 3003", "row 3004"]
+
+
+def test_fit_lenient_reports_rejected_rows(tmp_path):
+    p = tmp_path / "noisy.csv"
+    p.write_text("a,b\n" + "".join(f"{i + 1},{(7 * i) % 31 + 1}\n" for i in range(30)) + "nan,5\n-2,3\nx,4\n",
+                 encoding="utf-8")
+    out = tmp_path / "fit.json"
+    assert run(["fit", "--input", p, "--cols", "a,b", "--family", "wiw", "--seed", "1",
+                "--restarts", "1", "--out", out]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["n"] == 30
+    assert doc["ingest"]["rows_rejected"] == 3
+    assert len(doc["ingest"]["rejected"]) == 3
 
 
 def test_eval_df_and_criteria_follow_the_families(data_csv, tmp_path):

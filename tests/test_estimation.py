@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from claimsplice.composite import CompositeModel, CompositeParams
 from claimsplice.copula import GumbelCopula, clamp_pseudo_obs
@@ -241,6 +243,35 @@ def test_tau_matches_brute_force_exactly():
             x = rng.normal(size=n)
             y = rng.normal(size=n)
         assert empirical_kendall_tau(x, y) == pytest.approx(brute_force_tau(x, y), abs=1e-14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=2, max_size=70))
+def test_tau_property_heavy_ties(pairs):
+    # small integers force heavy ties; n up to 70 crosses every merge width up to 64
+    x, y = (np.array(col, dtype=float) for col in zip(*pairs))
+    assume(not (np.all(x == x[0]) or np.all(y == y[0])))
+    tau = empirical_kendall_tau(x, y)
+    assert abs(tau - brute_force_tau(x, y)) <= 1e-13
+    assert empirical_kendall_tau(x, -y) == -tau
+    assert empirical_kendall_tau(y, x) == tau
+
+
+def test_tau_pinned_on_cents_rounded_sample():
+    # the counts are exact integers, so tau on this fixed input must not move in the last bit
+    rng = np.random.default_rng(20000)
+    z = rng.standard_normal((2, 20000))
+    x = np.round(np.exp(7.0 + 1.5 * z[0]), 2)
+    y = np.round(np.exp(7.0 + 1.5 * (0.6 * z[0] + 0.8 * z[1])), 2)
+    assert empirical_kendall_tau(x, y) == 0.4105433220349085
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tau_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        empirical_kendall_tau([1.0, 2.0, bad, 4.0], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="finite"):
+        empirical_kendall_tau([1.0, 2.0, 3.0, 4.0], [1.0, bad, 3.0, 4.0])
 
 
 def test_tau_degenerate_coordinate():
