@@ -53,11 +53,9 @@ def composite_nll(family, params, y):
     log_r, log_1mr, log_head_cdf, log_tail_sf = constants
 
     in_head = y <= theta
-    total = 0.0
-    if np.any(in_head):
-        total += np.sum(log_r + family.unchecked_logpdf(y[in_head], *head) - log_head_cdf)
-    if np.any(~in_head):
-        total += np.sum(log_1mr + InverseWeibullParams.unchecked_logpdf(y[~in_head], alpha, gamma) - log_tail_sf)
+    total = np.sum(log_r + family.unchecked_logpdf(y[in_head], *head) - log_head_cdf) + np.sum(
+        log_1mr + InverseWeibullParams.unchecked_logpdf(y[~in_head], alpha, gamma) - log_tail_sf
+    )
     if not np.isfinite(total):
         return np.inf
     return -float(total)

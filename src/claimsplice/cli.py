@@ -76,7 +76,7 @@ def load_params_json(path):
 def _report_from_fit(tag, rep):
     return {
         "model": tag,
-        "converged": rep.marginal1.converged and rep.marginal2.converged,
+        "converged": rep.marginal1.converged and rep.marginal2.converged and rep.copula.converged,
         "loglik": rep.loglik,
         "df": rep.df,
         "df_fixed_thresholds": rep.df_fixed_thresholds,

@@ -26,6 +26,7 @@ from claimsplice.families import (
     WeibullParams,
     _check_positive_y,
     _check_prob,
+    _log1mexp,
 )
 
 HeadParams = Union[WeibullParams, ParalogisticParams, InverseBurrParams]
@@ -116,51 +117,51 @@ class CompositeModel:
     def theta(self):
         return self.params.theta
 
+    def _splice(self, x, cut, head, tail):
+        """head(x) where x <= cut, tail(x) elsewhere; a 0-d x gives a float."""
+        xs = np.atleast_1d(x)
+        in_head = xs <= cut
+        out = np.empty_like(xs)
+        out[in_head] = head(xs[in_head])
+        out[~in_head] = tail(xs[~in_head])
+        return float(out[0]) if x.ndim == 0 else out
+
     def logpdf(self, y):
-        y = _check_positive_y(y)
-        scalar = y.ndim == 0
-        y = np.atleast_1d(y)
-        head = y <= self.theta
-        out = np.empty_like(y)
-        if np.any(head):
-            out[head] = self.log_r + self.params.head.logpdf(y[head]) - self.log_head_cdf_theta
-        if np.any(~head):
-            out[~head] = self.log_1mr + self.params.tail.logpdf(y[~head]) - self.log_tail_sf_theta
-        return float(out[0]) if scalar else out
+        return self._splice(
+            _check_positive_y(y),
+            self.theta,
+            lambda y: self.log_r + self.params.head.logpdf(y) - self.log_head_cdf_theta,
+            lambda y: self.log_1mr + self.params.tail.logpdf(y) - self.log_tail_sf_theta,
+        )
 
     def pdf(self, y):
         return np.exp(self.logpdf(y))
 
     def cdf(self, y):
-        y = _check_positive_y(y)
-        scalar = y.ndim == 0
-        y = np.atleast_1d(y)
-        head = y <= self.theta
-        out = np.empty_like(y)
-        if np.any(head):
-            out[head] = np.exp(self.log_r + self.params.head.logcdf(y[head]) - self.log_head_cdf_theta)
-        if np.any(~head):
-            tail_cdf_theta = float(self.params.tail.cdf(self.theta))
-            frac = (self.params.tail.cdf(y[~head]) - tail_cdf_theta) / np.exp(self.log_tail_sf_theta)
-            out[~head] = self.r + np.exp(self.log_1mr) * frac
-        out = np.minimum(out, 1.0)
-        return float(out[0]) if scalar else out
+        # tail: 1 - (1 - r) S_T(y) / S_T(theta), with the ratio taken in logs
+        return self._splice(
+            _check_positive_y(y),
+            self.theta,
+            lambda y: np.minimum(np.exp(self.log_r + self.params.head.logcdf(y) - self.log_head_cdf_theta), 1.0),
+            lambda y: -np.expm1(self.log_1mr + self.params.tail.logsf(y) - self.log_tail_sf_theta),
+        )
 
     def ppf(self, u):
-        u = _check_prob(u)
-        scalar = u.ndim == 0
-        u = np.atleast_1d(u)
-        out = np.empty_like(u)
-        head = u <= self.r
-        if np.any(head):
-            uh = np.exp(np.log(u[head]) + self.log_head_cdf_theta - self.log_r)
-            out[head] = self.params.head.ppf(uh)
-        if np.any(~head):
-            ut = u[~head]
-            tail_cdf_theta = float(self.params.tail.cdf(self.theta))
-            target = tail_cdf_theta + (ut - self.r) / np.exp(self.log_1mr) * np.exp(self.log_tail_sf_theta)
-            out[~head] = self.params.tail.ppf(np.minimum(target, 1.0 - 1e-16))
-        return float(out[0]) if scalar else out
+        """Quantile; y <= theta for u <= r, y >= theta above, nondecreasing in u."""
+
+        def head_ppf(u):
+            # u / r * F_H(theta) may round to 1 or above when F_H(theta) rounds to 1: cap below 1
+            p = np.minimum(np.exp(np.log(u) + self.log_head_cdf_theta - self.log_r), np.nextafter(1.0, 0.0))
+            return np.minimum(self.params.head.ppf(p), self.theta)
+
+        def tail_ppf(u):
+            # S_T(y) = (1 - u) / (1 - r) * S_T(theta), inverted through log S_T(y) <= log S_T(theta);
+            # log S_T(y) = 0 gives log F_T = -inf and the quantile 0, which the max lifts to theta
+            log_sf = np.minimum(np.log1p(-u) - self.log_1mr, 0.0) + self.log_tail_sf_theta
+            tail = self.params.tail
+            return np.maximum(tail.unchecked_ppf_log(_log1mexp(-log_sf), tail.alpha, tail.gamma), self.theta)
+
+        return self._splice(_check_prob(u), self.r, head_ppf, tail_ppf)
 
     def sample(self, n, rng):
         """Inverse-cdf sampling; rng is a numpy Generator or a seed."""
@@ -172,7 +173,7 @@ class CompositeModel:
 
     def log_likelihood(self, data):
         """Sum of log densities over the observations, by the likelihood kernel."""
-        data = np.ascontiguousarray(_check_positive_y(data), dtype=float)
+        data = _check_positive_y(data)
         nll = _kernels.composite_nll(type(self.params.head), self.params.as_vector(), data)
         return -nll
 

@@ -68,8 +68,6 @@ class GumbelCopula:
     def log_likelihood(self, u, v):
         """Sum of copula log densities over clamped pseudo-observation pairs."""
         u, v = _check_uv(u, v)
-        u = np.ascontiguousarray(np.atleast_1d(u), dtype=float)
-        v = np.ascontiguousarray(np.atleast_1d(v), dtype=float)
         return -_kernels.gumbel_nll(self.phi, u, v)
 
     def sample(self, n, rng):

@@ -24,6 +24,9 @@ from claimsplice.composite import FAMILIES, TAGS, CompositeModel, CompositeParam
 from claimsplice.families import InverseWeibullParams
 from claimsplice.copula import BivariateModel, GumbelCopula, clamp_pseudo_obs
 
+SIMPLEX_SCALE = 0.1  # Nelder-Mead's initial step along each transformed axis
+MIN_N = 20  # fewest observations a marginal fit accepts
+
 
 class ConvergenceError(RuntimeError):
     """Raised when no optimizer restart reaches the tolerance."""
@@ -38,8 +41,6 @@ class OptimizerConfig:
     max_iter: int = 5000
     tol: float = 1e-8
     restarts: int = 3
-    simplex_scale: float = 0.1
-    min_n: int = 20
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -69,6 +70,7 @@ class CopulaFit:
     phi: float
     loglik: float
     at_boundary: bool
+    converged: bool  # False when the search stopped at maxiter
 
 
 @dataclass
@@ -161,11 +163,11 @@ def fit_marginal(data, family, config=None):
     config = config or OptimizerConfig()
     if family not in FAMILIES:
         raise ValueError(f"unknown head family {family!r}; expected one of {sorted(FAMILIES)}")
-    data = np.ascontiguousarray(data, dtype=float)
+    data = np.asarray(data, dtype=float)
     if np.any(data <= 0) or np.any(~np.isfinite(data)):
         raise ValueError("all observations must be strictly positive and finite")
-    if data.size < config.min_n:
-        raise DegenerateDataError(f"need at least {config.min_n} observations, got {data.size}")
+    if data.size < MIN_N:
+        raise DegenerateDataError(f"need at least {MIN_N} observations, got {data.size}")
     if np.all(data == data[0]):
         raise DegenerateDataError("degenerate sample: all observations are equal")
 
@@ -192,7 +194,7 @@ def fit_marginal(data, family, config=None):
                 "maxiter": config.max_iter,
                 "fatol": config.tol,
                 "xatol": 1e-8,
-                "initial_simplex": x0 + config.simplex_scale * np.vstack([np.zeros_like(x0), np.eye(x0.size)]),
+                "initial_simplex": x0 + SIMPLEX_SCALE * np.vstack([np.zeros_like(x0), np.eye(x0.size)]),
             },
         )
         total_iter += res.nit
@@ -228,8 +230,8 @@ def fit_copula(u, v, config=None):
     optimum explicitly.
     """
     config = config or OptimizerConfig()
-    u = np.ascontiguousarray(clamp_pseudo_obs(u), dtype=float)
-    v = np.ascontiguousarray(clamp_pseudo_obs(v), dtype=float)
+    u = clamp_pseudo_obs(u)
+    v = clamp_pseudo_obs(v)
     if u.shape != v.shape:
         raise ValueError("u and v must have the same length")
 
@@ -242,8 +244,8 @@ def fit_copula(u, v, config=None):
     loglik = -float(res.fun)
     # the boundary phi = 1 has log-likelihood exactly 0
     if loglik <= 0.0 or phi <= 1.0 + 1e-6:
-        return CopulaFit(phi=1.0, loglik=0.0, at_boundary=True)
-    return CopulaFit(phi=phi, loglik=loglik, at_boundary=False)
+        phi, loglik = 1.0, 0.0
+    return CopulaFit(phi=phi, loglik=loglik, at_boundary=phi == 1.0, converged=bool(res.success))
 
 
 def fit_bivariate(y1, y2, family1, family2, config=None):
@@ -251,7 +253,6 @@ def fit_bivariate(y1, y2, family1, family2, config=None):
 
     Stage failures carry the stage identity in the raised error message.
     """
-    config = config or OptimizerConfig()
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
     if y1.shape != y2.shape:
@@ -262,10 +263,8 @@ def fit_bivariate(y1, y2, family1, family2, config=None):
             fits.append(fit_marginal(y, fam, config))
         except (ValueError, RuntimeError) as exc:
             raise type(exc)(f"stage 1, marginal {j} ({fam}): {exc}") from exc
-    u = clamp_pseudo_obs(fits[0].model.cdf(y1))
-    v = clamp_pseudo_obs(fits[1].model.cdf(y2))
     try:
-        cop = fit_copula(u, v, config)
+        cop = fit_copula(fits[0].model.cdf(y1), fits[1].model.cdf(y2), config)
     except (ValueError, RuntimeError) as exc:
         raise type(exc)(f"stage 2, copula: {exc}") from exc
     report = FitReport(marginal1=fits[0], marginal2=fits[1], copula=cop, n=y1.size)

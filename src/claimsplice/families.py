@@ -5,10 +5,11 @@ Weibull (tail). Each exposes pdf/cdf/quantile plus log-scale variants;
 everything is computed in log space internally so the kernels stay finite
 for claims spanning many orders of magnitude.
 
-Each log-density, log-cdf and log-sf formula is written once, as a static
-method ``unchecked_log*(y, *params)`` of its parameter class that takes the
-parameters in field order and validates nothing. The public methods validate
-their input and call it; the likelihood kernels call it directly.
+Each log-density, log-cdf and log-sf formula, and the Inverse Weibull
+quantile of a log-probability (``unchecked_ppf_log``), is written once as a
+static method ``unchecked_*(y, *params)`` of its parameter class that takes
+the parameters in field order and validates nothing. The public methods
+validate their input and call it; the likelihood kernels call it directly.
 
 Scale conventions follow the multiplicative form of the densities: the
 Paralogistic sigma and Inverse Burr tau enter as ``(y * sigma)`` and
@@ -193,6 +194,9 @@ class InverseWeibullParams(_PositiveParamsMixin):
     def unchecked_logsf(y, alpha, gamma):
         return _log1mexp(np.exp(alpha * (np.log(gamma) - np.log(y))))
 
+    @staticmethod
+    def unchecked_ppf_log(log_u, alpha, gamma):
+        return gamma * (-log_u) ** (-1.0 / alpha)
+
     def ppf(self, u):
-        u = _check_prob(u)
-        return self.gamma * (-np.log(u)) ** (-1.0 / self.alpha)
+        return self.unchecked_ppf_log(np.log(_check_prob(u)), self.alpha, self.gamma)

@@ -16,11 +16,10 @@ class IngestError(ValueError):
 
 @dataclass
 class ClaimPairSample:
-    """Paired strictly-positive, finite claim amounts with provenance."""
+    """Paired strictly-positive, finite claim amounts and the rows the loader rejected."""
 
     claim1: np.ndarray
     claim2: np.ndarray
-    source: str = ""
     rejected_rows: List[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -119,7 +118,7 @@ def load_csv(path, cols="0,1", delimiter=",", decimal=".", strict=False, has_hea
         rejected.append(msg)
     if not c1:
         raise IngestError(f"{path}: no valid rows ({len(rejected)} rejected)")
-    return ClaimPairSample(np.array(c1), np.array(c2), source=str(path), rejected_rows=rejected)
+    return ClaimPairSample(np.array(c1), np.array(c2), rejected_rows=rejected)
 
 
 def write_csv(sample, path, header=("claim1", "claim2"), metadata=None):

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from claimsplice.cli import EXIT_CONVERGENCE, EXIT_INPUT, EXIT_OK, EXIT_PARAMS, main
+from claimsplice.cli import EXIT_CONVERGENCE, EXIT_INPUT, EXIT_OK, EXIT_PARAMS, _report_from_fit, main
 from claimsplice.composite import CompositeModel, CompositeParams
 from claimsplice.copula import BivariateModel, GumbelCopula
-from claimsplice.estimation import aic, bic
+from claimsplice.estimation import CopulaFit, FitReport, MarginalFit, aic, bic
 from claimsplice.families import InverseWeibullParams, WeibullParams
 from tests.test_composite import WIW
 
@@ -93,6 +93,15 @@ def test_fit_non_finite_claim_is_input_error(tmp_path, bad):
     p = tmp_path / "bad.csv"
     p.write_text("a,b\n" + "".join(f"{i + 1},{i + 2}\n" for i in range(30)) + f"{bad},5\n", encoding="utf-8")
     assert run(["fit", "--input", p, "--cols", "a,b", "--family", "wiw", "--seed", "1", "--strict"]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("copula_converged", [True, False])
+def test_fit_report_converged_covers_the_copula(copula_converged):
+    def marginal(params):
+        return MarginalFit("weibull", params, CompositeModel(params).r, -100.0, 5, True, 50, 100)
+
+    rep = FitReport(marginal(WIW), marginal(WIW2), CopulaFit(1.5, 10.0, False, copula_converged), n=100)
+    assert _report_from_fit("wiw", rep)["converged"] is copula_converged
 
 
 def test_fit_text_format(data_csv, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from claimsplice.composite import CompositeModel, CompositeParams, mixing_weight
@@ -152,6 +154,73 @@ def test_quantile_round_trip(params):
     assert m.ppf(m.r / 2) < params.theta
     u = np.linspace(0.01, 0.99, 50)
     assert m.cdf(m.ppf(u)) == pytest.approx(u, rel=1e-8)
+
+
+@pytest.mark.parametrize("q", [1e-6, 1e-9, 1e-12, 1e-15])
+def test_quantile_far_tail_relative_accuracy(q):
+    # tail: S_T(y) = (1 - u) / (1 - r) * S_T(theta), inverted in plain arithmetic
+    m = CompositeModel(WIW)
+    t, th = WIW.tail, WIW.theta
+    u = 1.0 - q
+    s = (1.0 - u) / (1.0 - m.r) * -np.expm1(-((t.gamma / th) ** t.alpha))
+    assert m.ppf(u) == pytest.approx(t.gamma * (-np.log1p(-s)) ** (-1.0 / t.alpha), rel=1e-12)
+
+
+@pytest.mark.parametrize("theta", [50.0, 100.0, 300.0])
+def test_quantile_just_above_weight_when_tail_sf_rounds_to_one(theta):
+    # far below the tail scale S_T(theta) is 1 to double precision
+    m = CompositeModel(CompositeParams(WIW.head, WIW.tail, theta))
+    assert m.params.tail.sf(theta) == 1.0
+    u = [m.r]
+    for _ in range(50):
+        u.append(np.nextafter(u[-1], 1.0))
+    y = m.ppf(np.array(u[1:]))
+    assert np.all(np.isfinite(y))
+    assert np.all(y >= theta)
+    assert np.all(np.diff(y) >= 0)
+
+
+def _ulps_around(x, k):
+    """x and the k doubles on either side of it, ascending."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], 1.0))
+    return np.array(below[:0:-1] + above)
+
+
+def _check_splice_contract(m, u):
+    y = np.array([m.ppf(x) for x in u])
+    assert np.all(np.isfinite(y))
+    assert np.all(y[u <= m.r] <= m.theta)
+    assert np.all(y[u > m.r] >= m.theta)
+    assert np.all(np.diff(y) >= 0)
+
+
+def test_quantile_contract_across_the_weight():
+    # some Weibull heads have F_H(theta) = 1 to double precision, where the
+    # head quantile of u = r used to exceed 1 or land above theta
+    rng = np.random.default_rng(7)
+    for i in range(600):
+        m = CompositeModel(random_composite(FAMILIES[i % 3], rng))
+        u = _ulps_around(m.r, 3)
+        _check_splice_contract(m, u[(u > 0.0) & (u < 1.0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(FAMILIES),
+    st.floats(1e-15, 0.5),
+    st.booleans(),
+)
+def test_quantile_round_trip_property(seed, family, q, upper):
+    m = CompositeModel(random_composite(family, np.random.default_rng(seed)))
+    u = 1.0 - q if upper else q
+    assume(abs(u - m.r) > 1e-12)
+    assert abs(m.cdf(m.ppf(u)) - u) <= 1e-9 * min(u, 1.0 - u) + 1e-15
+    u = _ulps_around(m.r, 1)
+    _check_splice_contract(m, u[(u > 0.0) & (u < 1.0)])
 
 
 def test_quantile_domain_errors():

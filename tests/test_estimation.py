@@ -165,6 +165,12 @@ def test_fit_copula_boundary_flag_set_at_independence():
     assert fit.loglik == 0.0
 
 
+def test_fit_copula_reports_max_iter_stop():
+    u, v = GumbelCopula(2.0).sample(500, 11)
+    assert fit_copula(u, v).converged
+    assert not fit_copula(u, v, OptimizerConfig(max_iter=1)).converged
+
+
 # ---------------------------------------------------------------------------
 # full pipeline
 
