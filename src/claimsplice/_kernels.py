@@ -4,8 +4,8 @@
 +inf instead of raising, so that a derivative-free optimizer can step onto
 invalid points. They are looked up as attributes of this module at call
 time. The formulas themselves live in ``families`` (the head and tail
-densities) and here (the splice constants and the Gumbel copula density),
-and the model classes evaluate the same functions.
+densities, written over log y) and here (the splice constants and the Gumbel
+copula density), and the model classes evaluate the same functions.
 """
 
 from __future__ import annotations
@@ -24,26 +24,27 @@ def splice_constants(head, head_params, alpha, gamma, theta):
     assembled in log space. Returns None when both terms underflow, where
     r is undefined.
     """
-    log_head_cdf = head.unchecked_logcdf(theta, *head_params)
-    log_tail_sf = InverseWeibullParams.unchecked_logsf(theta, alpha, gamma)
-    log_a = InverseWeibullParams.unchecked_logpdf(theta, alpha, gamma) + log_head_cdf
-    log_b = head.unchecked_logpdf(theta, *head_params) + log_tail_sf
+    log_theta = np.log(theta)
+    log_head_cdf = head.unchecked_logcdf(log_theta, *head_params)
+    log_tail_sf = InverseWeibullParams.unchecked_logsf(log_theta, alpha, gamma)
+    log_a = InverseWeibullParams.unchecked_logpdf(log_theta, alpha, gamma) + log_head_cdf
+    log_b = head.unchecked_logpdf(log_theta, *head_params) + log_tail_sf
     if not (np.isfinite(log_a) or np.isfinite(log_b)):
         return None
     return -_softplus(log_b - log_a), -_softplus(log_a - log_b), log_head_cdf, log_tail_sf
 
 
-def composite_nll(family, params, y):
+def composite_nll(family, params, y, log_y):
     """Negative log-likelihood of a spliced head/Inverse Weibull tail model.
 
     ``family`` is the head parameter class (e.g. ``WeibullParams``) and
-    ``params`` the raw vector ``[head..., alpha, gamma, theta]``.
-    Observations with ``y <= theta`` fall in the head branch (closed
-    interval). Returns +inf for invalid parameters or for data with zero
-    density.
+    ``params`` the raw vector ``[head..., alpha, gamma, theta]``. ``y`` is
+    the float sample and ``log_y`` its ``np.log``, which the caller takes once
+    for every call on that sample. Observations with ``y <= theta`` fall in
+    the head branch (closed interval). Returns +inf for invalid parameters or
+    for data with zero density.
     """
     params = np.asarray(params, dtype=float)
-    y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(params)) or np.any(params <= 0.0):
         return np.inf
     *head, alpha, gamma, theta = params
@@ -52,9 +53,12 @@ def composite_nll(family, params, y):
         return np.inf
     log_r, log_1mr, log_head_cdf, log_tail_sf = constants
 
+    # each side keeps the order of y: summing in another order (sorted, say) moves the last bits of
+    # the objective, and Nelder-Mead follows them to another optimum on the kinked theta ridge
     in_head = y <= theta
-    total = np.sum(log_r + family.unchecked_logpdf(y[in_head], *head) - log_head_cdf) + np.sum(
-        log_1mr + InverseWeibullParams.unchecked_logpdf(y[~in_head], alpha, gamma) - log_tail_sf
+    head_log_y, tail_log_y = np.compress(in_head, log_y), np.compress(~in_head, log_y)
+    total = np.sum(log_r + family.unchecked_logpdf(head_log_y, *head) - log_head_cdf) + np.sum(
+        log_1mr + InverseWeibullParams.unchecked_logpdf(tail_log_y, alpha, gamma) - log_tail_sf
     )
     if not np.isfinite(total):
         return np.inf

@@ -31,6 +31,9 @@ from claimsplice.families import (
 
 HeadParams = Union[WeibullParams, ParalogisticParams, InverseBurrParams]
 
+# the least positive double, and the least positive normal one
+_SMALLEST, _TINY = np.finfo(float).smallest_subnormal, np.finfo(float).tiny
+
 
 class Family(NamedTuple):
     """One composite model: its report tag and its head parameter class."""
@@ -137,22 +140,43 @@ class CompositeModel:
     def pdf(self, y):
         return np.exp(self.logpdf(y))
 
+    def _head_logcdf(self, y):
+        """log F(y) = log r + log F_H(y) - log F_H(theta), for y <= theta."""
+        return self.log_r + self.params.head.logcdf(y) - self.log_head_cdf_theta
+
+    def _tail_logsf(self, y):
+        """log S(y) = log(1 - r) + log S_T(y) - log S_T(theta), for y > theta."""
+        return self.log_1mr + self.params.tail.logsf(y) - self.log_tail_sf_theta
+
     def cdf(self, y):
         # tail: 1 - (1 - r) S_T(y) / S_T(theta), with the ratio taken in logs
         return self._splice(
             _check_positive_y(y),
             self.theta,
-            lambda y: np.minimum(np.exp(self.log_r + self.params.head.logcdf(y) - self.log_head_cdf_theta), 1.0),
-            lambda y: -np.expm1(self.log_1mr + self.params.tail.logsf(y) - self.log_tail_sf_theta),
+            lambda y: np.minimum(np.exp(self._head_logcdf(y)), 1.0),
+            lambda y: -np.expm1(self._tail_logsf(y)),
         )
+
+    def logsf(self, y):
+        """log(1 - cdf(y)), in log space on both sides, so far-tail values keep their relative precision."""
+        return self._splice(
+            _check_positive_y(y),
+            self.theta,
+            lambda y: _log1mexp(-np.minimum(self._head_logcdf(y), 0.0)),
+            self._tail_logsf,
+        )
+
+    def sf(self, y):
+        return np.exp(self.logsf(y))
 
     def ppf(self, u):
         """Quantile; y <= theta for u <= r, y >= theta above, nondecreasing in u."""
 
         def head_ppf(u):
-            # u / r * F_H(theta) may round to 1 or above when F_H(theta) rounds to 1: cap below 1
-            p = np.minimum(np.exp(np.log(u) + self.log_head_cdf_theta - self.log_r), np.nextafter(1.0, 0.0))
-            return np.minimum(self.params.head.ppf(p), self.theta)
+            # u / r * F_H(theta) may round to 1 or above when F_H(theta) rounds to 1: cap below 1;
+            # for tiny u it and its quantile may underflow to 0: floor both, so that cdf/logpdf accept y
+            p = np.clip(np.exp(np.log(u) + self.log_head_cdf_theta - self.log_r), _SMALLEST, np.nextafter(1.0, 0.0))
+            return np.clip(self.params.head.ppf(p), _TINY, self.theta)
 
         def tail_ppf(u):
             # S_T(y) = (1 - u) / (1 - r) * S_T(theta), inverted through log S_T(y) <= log S_T(theta);
@@ -173,8 +197,8 @@ class CompositeModel:
 
     def log_likelihood(self, data):
         """Sum of log densities over the observations, by the likelihood kernel."""
-        data = _check_positive_y(data)
-        nll = _kernels.composite_nll(type(self.params.head), self.params.as_vector(), data)
+        data = _check_positive_y(data).ravel()
+        nll = _kernels.composite_nll(type(self.params.head), self.params.as_vector(), data, np.log(data))
         return -nll
 
     def smoothness_gap(self, h=1e-5):

@@ -173,11 +173,12 @@ def fit_marginal(data, family, config=None):
 
     head_cls, k = FAMILIES[family].head, FAMILIES[family].dim
     lo, hi = float(np.min(data)), float(np.max(data))
+    log_data = np.log(data)
 
     def objective(x):
         if np.any(np.abs(x) > 700):
             return np.inf
-        return _kernels.composite_nll(head_cls, _pack_params(k, x, lo, hi), data)
+        return _kernels.composite_nll(head_cls, _pack_params(k, x, lo, hi), data, log_data)
 
     quantiles = [0.5, 0.7, 0.9]
     best = None

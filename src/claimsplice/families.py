@@ -7,9 +7,12 @@ for claims spanning many orders of magnitude.
 
 Each log-density, log-cdf and log-sf formula, and the Inverse Weibull
 quantile of a log-probability (``unchecked_ppf_log``), is written once as a
-static method ``unchecked_*(y, *params)`` of its parameter class that takes
-the parameters in field order and validates nothing. The public methods
-validate their input and call it; the likelihood kernels call it directly.
+static method of its parameter class that takes the parameters in field order
+and validates nothing. The density formulas ``unchecked_logpdf``,
+``unchecked_logcdf`` and ``unchecked_logsf`` take ``(log_y, *params)``: log y,
+not y, so that a caller evaluating them many times on one sample takes the log
+once. The public methods validate y and pass ``np.log(y)``; the likelihood
+kernels call the formulas directly.
 
 Scale conventions follow the multiplicative form of the densities: the
 Paralogistic sigma and Inverse Burr tau enter as ``(y * sigma)`` and
@@ -32,20 +35,27 @@ __all__ = [
     "InverseWeibullParams",
 ]
 
+_LN2 = 0.6931471805599453
+
 
 def _softplus(t):
-    """log(1 + exp(t)) without overflow for large t."""
-    t = np.asarray(t, dtype=float)
-    return np.where(t > 0, t + np.log1p(np.exp(-np.abs(t))), np.log1p(np.exp(np.minimum(t, 0.0))))
+    """log(1 + exp(t)) without overflow for large t: max(t, 0) + log1p(exp(-|t|))."""
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
 def _log1mexp(x):
-    """log(1 - exp(-x)) for x > 0, accurate near both ends."""
+    """log(1 - exp(-x)) for x >= 0, accurate near both ends; x = 0 gives -inf.
+
+    log(-expm1(-x)) below log 2, log1p(-exp(-x)) from log 2 up. A scalar, as in
+    the kernel's splice constants, evaluates only its own branch.
+    """
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore"):
-        small = np.log(-np.expm1(-np.minimum(x, 0.6931471805599453)))
-        large = np.log1p(-np.exp(-np.maximum(x, 0.6931471805599453)))
-    return np.where(x < 0.6931471805599453, small, large)
+        if x.ndim == 0:
+            return np.log(-np.expm1(-x)) if x < _LN2 else np.log1p(-np.exp(-x))
+        small = np.log(-np.expm1(-np.minimum(x, _LN2)))
+        large = np.log1p(-np.exp(-np.maximum(x, _LN2)))
+    return np.where(x < _LN2, small, large)
 
 
 def _check_positive_y(y):
@@ -72,13 +82,13 @@ class _PositiveParamsMixin:
                 raise ValueError(f"{type(self).__name__}.{f.name} must be finite and > 0, got {v!r}")
 
     def logpdf(self, y):
-        return self.unchecked_logpdf(_check_positive_y(y), *astuple(self))
+        return self.unchecked_logpdf(np.log(_check_positive_y(y)), *astuple(self))
 
     def logcdf(self, y):
-        return self.unchecked_logcdf(_check_positive_y(y), *astuple(self))
+        return self.unchecked_logcdf(np.log(_check_positive_y(y)), *astuple(self))
 
     def logsf(self, y):
-        return self.unchecked_logsf(_check_positive_y(y), *astuple(self))
+        return self.unchecked_logsf(np.log(_check_positive_y(y)), *astuple(self))
 
     def pdf(self, y):
         return np.exp(self.logpdf(y))
@@ -98,17 +108,17 @@ class WeibullParams(_PositiveParamsMixin):
     sigma: float
 
     @staticmethod
-    def unchecked_logpdf(y, mu, sigma):
-        z = np.log(y) - np.log(sigma)
+    def unchecked_logpdf(log_y, mu, sigma):
+        z = log_y - np.log(sigma)
         return np.log(mu) - np.log(sigma) + (mu - 1.0) * z - np.exp(mu * z)
 
     @staticmethod
-    def unchecked_logcdf(y, mu, sigma):
-        return _log1mexp(np.exp(mu * (np.log(y) - np.log(sigma))))
+    def unchecked_logcdf(log_y, mu, sigma):
+        return _log1mexp(np.exp(mu * (log_y - np.log(sigma))))
 
     @staticmethod
-    def unchecked_logsf(y, mu, sigma):
-        return -np.exp(mu * (np.log(y) - np.log(sigma)))
+    def unchecked_logsf(log_y, mu, sigma):
+        return -np.exp(mu * (log_y - np.log(sigma)))
 
     def ppf(self, u):
         u = _check_prob(u)
@@ -123,18 +133,18 @@ class ParalogisticParams(_PositiveParamsMixin):
     sigma: float
 
     @staticmethod
-    def unchecked_logpdf(y, mu, sigma):
-        t = mu * (np.log(y) + np.log(sigma))
-        return 2.0 * np.log(mu) + t - np.log(y) - (mu + 1.0) * _softplus(t)
+    def unchecked_logpdf(log_y, mu, sigma):
+        t = mu * (log_y + np.log(sigma))
+        return 2.0 * np.log(mu) + t - log_y - (mu + 1.0) * _softplus(t)
 
     @staticmethod
-    def unchecked_logcdf(y, mu, sigma):
+    def unchecked_logcdf(log_y, mu, sigma):
         # 1 - exp(-mu * softplus(t))
-        return _log1mexp(mu * _softplus(mu * (np.log(y) + np.log(sigma))))
+        return _log1mexp(mu * _softplus(mu * (log_y + np.log(sigma))))
 
     @staticmethod
-    def unchecked_logsf(y, mu, sigma):
-        return -mu * _softplus(mu * (np.log(y) + np.log(sigma)))
+    def unchecked_logsf(log_y, mu, sigma):
+        return -mu * _softplus(mu * (log_y + np.log(sigma)))
 
     def ppf(self, u):
         u = _check_prob(u)
@@ -155,23 +165,26 @@ class InverseBurrParams(_PositiveParamsMixin):
     tau: float
 
     @staticmethod
-    def unchecked_logpdf(y, mu, sigma, tau):
-        z = np.log(y) + np.log(tau)
-        return np.log(mu) + np.log(sigma) + mu * sigma * z - np.log(y) - (mu + 1.0) * _softplus(sigma * z)
+    def unchecked_logpdf(log_y, mu, sigma, tau):
+        z = log_y + np.log(tau)
+        return np.log(mu) + np.log(sigma) + mu * sigma * z - log_y - (mu + 1.0) * _softplus(sigma * z)
 
     @staticmethod
-    def unchecked_logcdf(y, mu, sigma, tau):
-        return -mu * _softplus(-sigma * (np.log(y) + np.log(tau)))
+    def unchecked_logcdf(log_y, mu, sigma, tau):
+        return -mu * _softplus(-sigma * (log_y + np.log(tau)))
 
     @staticmethod
-    def unchecked_logsf(y, mu, sigma, tau):
-        return _log1mexp(mu * _softplus(-sigma * (np.log(y) + np.log(tau))))
+    def unchecked_logsf(log_y, mu, sigma, tau):
+        return _log1mexp(mu * _softplus(-sigma * (log_y + np.log(tau))))
 
     def ppf(self, u):
         u = _check_prob(u)
-        # (y*tau)^(-sigma) = u^(-1/mu) - 1
-        x = np.expm1(-np.log(u) / self.mu)
-        return x ** (-1.0 / self.sigma) / self.tau
+        # (y*tau)^(-sigma) = u^(-1/mu) - 1 = expm1(a); where that overflows, it is exp(a) to double
+        # precision, so y*tau = exp(-a / sigma)
+        a = -np.log(u) / self.mu
+        with np.errstate(over="ignore"):
+            x = np.expm1(a)
+        return np.where(np.isinf(x), np.exp(-a / self.sigma), x ** (-1.0 / self.sigma)) / self.tau
 
 
 @dataclass(frozen=True)
@@ -182,17 +195,17 @@ class InverseWeibullParams(_PositiveParamsMixin):
     gamma: float
 
     @staticmethod
-    def unchecked_logpdf(y, alpha, gamma):
-        z = np.log(gamma) - np.log(y)
-        return np.log(alpha) - np.log(y) + alpha * z - np.exp(alpha * z)
+    def unchecked_logpdf(log_y, alpha, gamma):
+        z = np.log(gamma) - log_y
+        return np.log(alpha) - log_y + alpha * z - np.exp(alpha * z)
 
     @staticmethod
-    def unchecked_logcdf(y, alpha, gamma):
-        return -np.exp(alpha * (np.log(gamma) - np.log(y)))
+    def unchecked_logcdf(log_y, alpha, gamma):
+        return -np.exp(alpha * (np.log(gamma) - log_y))
 
     @staticmethod
-    def unchecked_logsf(y, alpha, gamma):
-        return _log1mexp(np.exp(alpha * (np.log(gamma) - np.log(y))))
+    def unchecked_logsf(log_y, alpha, gamma):
+        return _log1mexp(np.exp(alpha * (np.log(gamma) - log_y)))
 
     @staticmethod
     def unchecked_ppf_log(log_u, alpha, gamma):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import claimsplice
 from claimsplice.cli import EXIT_CONVERGENCE, EXIT_INPUT, EXIT_OK, EXIT_PARAMS, _report_from_fit, main
 from claimsplice.composite import CompositeModel, CompositeParams
 from claimsplice.copula import BivariateModel, GumbelCopula
@@ -216,3 +221,13 @@ def test_simulate_fit_round_trip(params_json, tmp_path):
     m = doc["models"][0]
     assert m["phi"] == pytest.approx(1.5, abs=0.15)
     assert m["marginal1"]["theta"] == pytest.approx(5000.0, rel=0.15)
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # importing scipy.stats adds 0.4-0.6 s to every CLI start; Kendall's tau is computed in numpy instead
+    src = str(Path(claimsplice.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, claimsplice.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -230,6 +230,68 @@ def test_quantile_domain_errors():
             m.ppf(bad)
 
 
+@pytest.mark.parametrize(
+    "head,floored",
+    [(WeibullParams(0.5, 2000.0), True), (ParalogisticParams(0.5, 0.001), True), (InverseBurrParams(0.5, 1.5, 1e-3), False)],
+    ids=["weibull", "paralogistic", "invburr"],
+)
+def test_quantile_floored_where_the_head_quantile_underflows(head, floored):
+    # the README model with a head steep near 0: for the Weibull and Paralogistic heads u <= 1e-200 has a
+    # quantile below the least normal double; the Inverse Burr one is near 1e-264 there, where u^(-1/mu) overflows
+    m = CompositeModel(CompositeParams(head, WIW.tail, WIW.theta))
+    u = np.array([5e-324, 1e-310, 1e-300, 1e-200, 1e-100, 1e-12, m.r])
+    y = m.ppf(u)
+    if floored:
+        assert y[3] == np.finfo(float).tiny
+    else:
+        assert y[3] > np.finfo(float).tiny
+        assert m.cdf(y[3]) == pytest.approx(1e-200, rel=1e-9)
+    assert np.all(y > 0.0) and np.all(np.diff(y) >= 0.0) and y[-1] <= m.theta
+    for x in u:
+        y = m.ppf(x)
+        assert 0.0 <= m.cdf(y) <= m.r + 1e-15
+        assert np.isfinite(m.logpdf(y))
+
+
+@pytest.mark.parametrize("params", MODELS, ids=["wiw", "piw", "ibiw"])
+def test_survival_function_complements_cdf(params):
+    m = CompositeModel(params)
+    y = m.ppf(np.linspace(0.01, 0.99, 99))
+    assert m.sf(y) == pytest.approx(1.0 - m.cdf(y), rel=1e-12)
+    assert m.logsf(y) == pytest.approx(np.log(1.0 - m.cdf(y)), rel=1e-12)
+    assert m.sf(params.theta) == pytest.approx(1.0 - m.r, rel=1e-12)
+    assert isinstance(m.sf(1000.0), float) and isinstance(m.logsf(1e6), float)
+
+
+def test_survival_far_tail_relative_accuracy():
+    # W-IW tail in closed form: S(y) = (1 - r) S_T(y) / S_T(theta), S_T(y) = 1 - exp(-(gamma / y)^alpha)
+    m = CompositeModel(WIW)
+    t, th = WIW.tail, WIW.theta
+    y = np.geomspace(1.001 * th, 1e12, 60)
+    expected = (1.0 - m.r) * np.expm1(-((t.gamma / y) ** t.alpha)) / np.expm1(-((t.gamma / th) ** t.alpha))
+    assert m.sf(y) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert m.logsf(y) == pytest.approx(np.log(expected), rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [1e-3, 1e-6, 1e-9, 1e-12, 1e-15])
+@pytest.mark.parametrize("params", MODELS, ids=["wiw", "piw", "ibiw"])
+def test_survival_of_quantile(params, q):
+    m = CompositeModel(params)
+    u = 1.0 - q
+    assert m.sf(m.ppf(u)) == pytest.approx(1.0 - u, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(FAMILIES), st.floats(1e-15, 0.5))
+def test_survival_round_trip_property(seed, family, q):
+    m = CompositeModel(random_composite(family, np.random.default_rng(seed)))
+    u = 1.0 - q
+    # the tail only: a head quantile inverts u / r * F_H(theta), which rounds at the spacing of doubles
+    # below 1 when F_H(theta) is near 1, so 1 - u keeps no relative precision there
+    assume(u > m.r + 1e-12)
+    assert abs(m.sf(m.ppf(u)) - (1.0 - u)) <= 1e-9 * (1.0 - u)
+
+
 def test_sample_head_fraction_and_determinism():
     m = CompositeModel(PIW)
     n = 100_000
@@ -255,6 +317,9 @@ def test_log_likelihood_single_point():
     m = CompositeModel(WIW)
     y = 1234.5
     assert m.log_likelihood([y]) == pytest.approx(np.log(m.pdf(y)), rel=1e-12)
+    assert m.log_likelihood(y) == m.log_likelihood([y])
+    data = m.sample(6, 3)
+    assert m.log_likelihood(data.reshape(2, 3)) == m.log_likelihood(data)
 
 
 @pytest.mark.parametrize("params", MODELS, ids=["wiw", "piw", "ibiw"])

@@ -9,6 +9,8 @@ from claimsplice.families import (
     InverseWeibullParams,
     ParalogisticParams,
     WeibullParams,
+    _log1mexp,
+    _softplus,
 )
 from tests.conftest import FAMILIES, random_head, total_mass
 
@@ -105,6 +107,15 @@ def test_quantile_cdf_round_trip(params):
     assert params.cdf(params.ppf(u)) == pytest.approx(u, rel=1e-8)
 
 
+def test_inverse_burr_quantile_past_the_overflow_of_its_power():
+    # u^(-1/mu) - 1 overflows for -log(u) / mu above about 709.8; y*tau = (u^(-1/mu) - 1)^(-1/sigma) does not
+    h = InverseBurrParams(0.5, 1.5, 1e-3)
+    u = np.array([1e-230, 1e-200, 1e-160, 1e-150])  # the last short of the overflow
+    y = h.ppf(u)
+    assert np.all(y > 0.0) and np.all(np.diff(y) > 0.0)
+    assert h.cdf(y) == pytest.approx(u, rel=1e-9)
+
+
 @pytest.mark.parametrize("params", ALL_PARAMS, ids=str)
 def test_logpdf_agrees_and_stays_finite(params):
     y = np.geomspace(1e-3, 1e9, 200)
@@ -140,3 +151,59 @@ def test_domain_errors(params):
 def test_invalid_params_rejected(bad):
     with pytest.raises(ValueError):
         bad()
+
+
+def _softplus_two_branch(t):
+    """The np.where form of softplus that evaluated both branches on every element (oracle)."""
+    t = np.asarray(t, dtype=float)
+    return np.where(t > 0, t + np.log1p(np.exp(-np.abs(t))), np.log1p(np.exp(np.minimum(t, 0.0))))
+
+
+def _log1mexp_two_branch(x):
+    """The np.where form of log1mexp that evaluated both branches on every element (oracle)."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        small = np.log(-np.expm1(-np.minimum(x, 0.6931471805599453)))
+        large = np.log1p(-np.exp(-np.maximum(x, 0.6931471805599453)))
+    return np.where(x < 0.6931471805599453, small, large)
+
+
+def _edge_grid():
+    """+-0, subnormals, +-708, +-745, +-1e308, +-inf, NaN, doubles around log 2, and random values."""
+    tiny = np.finfo(float).tiny
+    edges = [0.0, 5e-324, 1e-310, np.nextafter(tiny, 0.0), tiny, 1e-300, 1e-16, 0.5, 1.0, 20.0, 36.0, 37.0,
+             700.0, 708.0, 709.0, 709.8, 745.0, 746.0, 1e10, 1e308, np.inf]
+    ln2 = [0.6931471805599453]
+    for _ in range(3):
+        ln2 = [np.nextafter(ln2[0], 0.0)] + ln2 + [np.nextafter(ln2[-1], 1.0)]
+    rng = np.random.default_rng(11)
+    positive = np.concatenate([edges, ln2, np.exp(rng.uniform(-50.0, 7.0, 2000)), rng.uniform(0.0, 3.0, 1000)])
+    return np.concatenate([positive, -positive, [np.nan, np.nan]])
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+
+
+@pytest.mark.parametrize("new,oracle", [(_softplus, _softplus_two_branch), (_log1mexp, _log1mexp_two_branch)],
+                         ids=["softplus", "log1mexp"])
+def test_one_branch_helpers_match_two_branch_forms_bit_for_bit(new, oracle):
+    grid = _edge_grid()
+    # log1mexp takes x >= 0; below 0 both forms give NaN or overflow, which is compared and not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _same_bits(new(grid), oracle(grid))
+        assert _same_bits(new(grid.reshape(2, -1)), oracle(grid.reshape(2, -1)))
+        assert _same_bits([new(x) for x in grid], oracle(grid))
+        assert _same_bits([new(np.float64(x)) for x in grid], oracle(grid))
+        assert new(np.empty(0)).shape == (0,)
+
+
+def test_one_branch_helpers_raise_no_warning_in_their_domain():
+    grid = _edge_grid()
+    grid = np.sort(grid[grid > 0.0])
+    assert np.all(np.isfinite(_softplus(grid[:-1])))
+    assert _log1mexp(0.0) == -np.inf and _log1mexp(-0.0) == -np.inf
+    assert _log1mexp(np.inf) == 0.0
+    assert np.all(np.diff(_log1mexp(grid)) >= 0.0)
