@@ -9,6 +9,7 @@ emitted as null, never omitted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import secrets
 import sys
@@ -182,14 +183,11 @@ def cmd_simulate(args):
         f"marginal2={json.dumps(_marginal_to_dict(model.marginal2.params, model.marginal2.r), sort_keys=True)}",
         f"phi={model.copula.phi}",
     ]
-    lines = ["# " + m for m in meta] + ["claim1,claim2"]
-    lines += [f"{repr(float(a))},{repr(float(b))}" for a, b in zip(y1, y2)]
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    # line by line: the rows of a large sample are never held as one list or one string
+    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(f"# {m}\n" for m in meta)
+        fh.write("claim1,claim2\n")
+        fh.writelines(f"{a!r},{b!r}\n" for a, b in zip(y1.tolist(), y2.tolist()))
 
 
 def cmd_eval(args):

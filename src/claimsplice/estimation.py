@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from claimsplice import _kernels
 from claimsplice.composite import FAMILIES, TAGS, CompositeModel, CompositeParams, family_of_tag
@@ -160,6 +159,8 @@ def fit_marginal(data, family, config=None):
     (data quantiles 0.5, 0.7, 0.9 cycled over the restart budget) and keeps
     the best local maximum.
     """
+    from scipy import optimize  # imported on first use: it makes up most of a CLI start
+
     config = config or OptimizerConfig()
     if family not in FAMILIES:
         raise ValueError(f"unknown head family {family!r}; expected one of {sorted(FAMILIES)}")
@@ -230,6 +231,8 @@ def fit_copula(u, v, config=None):
     boundary (phi = 1, log-likelihood 0) is compared against the interior
     optimum explicitly.
     """
+    from scipy import optimize
+
     config = config or OptimizerConfig()
     u = clamp_pseudo_obs(u)
     v = clamp_pseudo_obs(v)

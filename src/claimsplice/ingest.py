@@ -55,37 +55,26 @@ def _resolve_columns(header, cols):
     return idx
 
 
-def load_csv(path, cols="0,1", delimiter=",", decimal=".", strict=False, has_header=None):
-    """Load a two-column claim-pair sample from a CSV file.
+def _holds_values(row):
+    """False for a blank row and for a comment: a row whose first cell starts with '#'."""
+    return bool(row) and any(f.strip() for f in row) and not row[0].lstrip().startswith("#")
 
-    ``cols`` selects the two columns by header name or 0-based index.
-    Rows with nonpositive, non-finite (nan, inf, or overflowing such as
-    1e400) or unparseable values are rejected with a row-numbered
-    diagnostic; in strict mode the first bad row aborts.
-    ``decimal`` supports European exports (e.g. decimal=',').
-    ``has_header`` of None sniffs: a first row that fails numeric parsing
-    is treated as a header.
+
+def _sniff(fh, path, cols, delimiter, parse, has_header):
+    """Column indices of ``cols``, and the file position and line number of the first data row.
+
+    The first row that holds values is the header if ``has_header`` says so or,
+    with ``has_header`` None, if one of its cells fails to parse as a number.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
-
-    def parse(tok):
-        return float(tok.replace(decimal, ".") if decimal != "." else tok)
-
-    with fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        rows = [
-            row
-            for row in reader
-            if row and any(f.strip() for f in row) and not row[0].lstrip().startswith("#")
-        ]
-    if not rows:
+    reader = csv.reader(iter(fh.readline, ""), delimiter=delimiter)  # readline, unlike next, keeps tell()
+    start, line = fh.tell(), 1
+    for first in reader:
+        if _holds_values(first):
+            break
+        start, line = fh.tell(), reader.line_num + 1
+    else:
         raise IngestError(f"{path}: no rows")
-
     header = None
-    first = rows[0]
     if has_header or has_header is None:
         try:
             [parse(f) for f in first]
@@ -94,11 +83,44 @@ def load_csv(path, cols="0,1", delimiter=",", decimal=".", strict=False, has_hea
             headerless = False
         if has_header or not headerless:
             header = [f.strip() for f in first]
-            rows = rows[1:]
-    idx = _resolve_columns(header, cols)
+            start, line = fh.tell(), reader.line_num + 1
+    return _resolve_columns(header, cols), start, line
 
+
+def _columns_by_loadtxt(fh, start, idx, delimiter):
+    """The two columns of the data rows by one ``np.loadtxt`` call, or None where the row loop must decide.
+
+    The row loop decides a file with a quote or a '#' among its data rows (a
+    quoted cell can span lines, and '#' starts a comment only at the start of
+    a row), a row ``loadtxt`` cannot parse and a value that is non-finite or
+    nonpositive: it alone writes diagnostics. Every number ``loadtxt``
+    accepts, ``float`` parses to the same double.
+    """
+    fh.seek(start)
+    data = fh.read()
+    if "#" in data or '"' in data or not data.strip():
+        return None
+    del data  # loadtxt reads the rows again from the file; the text need not stay
+    fh.seek(start)
+    try:
+        pairs = np.loadtxt(fh, delimiter=delimiter, usecols=idx, comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    if not np.all((pairs > 0) & (pairs < np.inf)):
+        return None
+    c1, c2 = np.ascontiguousarray(pairs.T)
+    return ClaimPairSample(c1, c2)
+
+
+def _rows_by_csv(fh, line, idx, path, parse, strict, delimiter):
+    """The data rows from the position of ``fh``, which is on line ``line``, parsed one at a time."""
+    reader = csv.reader(fh, delimiter=delimiter)
     c1, c2, rejected = [], [], []
-    for rownum, row in enumerate(rows, start=2 if header else 1):
+    lines_read = 0
+    for row in reader:
+        rownum, lines_read = line + lines_read, reader.line_num
+        if not _holds_values(row):
+            continue
         try:
             v1, v2 = parse(row[idx[0]]), parse(row[idx[1]])
         except (ValueError, IndexError):
@@ -119,6 +141,37 @@ def load_csv(path, cols="0,1", delimiter=",", decimal=".", strict=False, has_hea
     if not c1:
         raise IngestError(f"{path}: no valid rows ({len(rejected)} rejected)")
     return ClaimPairSample(np.array(c1), np.array(c2), rejected_rows=rejected)
+
+
+def load_csv(path, cols="0,1", delimiter=",", decimal=".", strict=False, has_header=None):
+    """Load a two-column claim-pair sample from a CSV file.
+
+    ``cols`` selects the two columns by header name or 0-based index.
+    Rows with nonpositive, non-finite (nan, inf, or overflowing such as
+    1e400) or unparseable values are rejected with a diagnostic that names
+    the row's line in the file; in strict mode the first bad row aborts.
+    Blank rows and rows whose first cell starts with '#' are skipped, and a
+    UTF-8 byte order mark is ignored.
+    ``decimal`` supports European exports (e.g. decimal=',').
+    ``has_header`` of None sniffs: a first row that fails numeric parsing
+    is treated as a header.
+    """
+    try:
+        fh = open(path, newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise IngestError(f"cannot read {path}: {exc}") from exc
+
+    def parse(tok):
+        return float(tok.replace(decimal, ".") if decimal != "." else tok)
+
+    with fh:
+        idx, start, line = _sniff(fh, path, cols, delimiter, parse, has_header)
+        if decimal == ".":
+            sample = _columns_by_loadtxt(fh, start, idx, delimiter)
+            if sample is not None:
+                return sample
+        fh.seek(start)
+        return _rows_by_csv(fh, line, idx, path, parse, strict, delimiter)
 
 
 def write_csv(sample, path, header=("claim1", "claim2"), metadata=None):

@@ -117,11 +117,14 @@ def test_fit_text_format(data_csv, tmp_path):
     assert "AIC" in text and "wiw" in text
 
 
-def test_simulate_writes_metadata_and_is_deterministic(params_json, tmp_path):
+def test_simulate_writes_metadata_and_is_deterministic(params_json, tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
         assert run(["simulate", "--params", params_json, "--n", "500", "--seed", "3", "--out", out]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+    capsys.readouterr()
+    assert run(["simulate", "--params", params_json, "--n", "500", "--seed", "3"]) == EXIT_OK
+    assert capsys.readouterr().out == a.read_text(encoding="utf-8")
     head = a.read_text().splitlines()
     assert head[0].startswith("# schema=") and "seed=3" in head[0]
     assert any("phi=1.5" in line for line in head[:5])
@@ -223,11 +226,21 @@ def test_simulate_fit_round_trip(params_json, tmp_path):
     assert m["marginal1"]["theta"] == pytest.approx(5000.0, rel=0.15)
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    # importing scipy.stats adds 0.4-0.6 s to every CLI start; Kendall's tau is computed in numpy instead
+def _modules_after_cli_import(prefix):
+    """Names of the modules under ``prefix`` that a fresh ``import claimsplice.cli`` loads."""
     src = str(Path(claimsplice.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, claimsplice.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    code = f"import sys, claimsplice.cli; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # importing scipy.stats adds 0.4-0.6 s to every CLI start; Kendall's tau is computed in numpy instead
+    assert _modules_after_cli_import("scipy.stats") == "[]"
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # scipy.optimize takes about 0.6 s of a 0.8 s CLI start, and only fit uses it: estimation imports it on first use
+    assert _modules_after_cli_import("scipy.optimize") == "[]"
