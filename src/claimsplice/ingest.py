@@ -143,6 +143,21 @@ def _rows_by_csv(fh, line, idx, path, parse, strict, delimiter):
     return ClaimPairSample(np.array(c1), np.array(c2), rejected_rows=rejected)
 
 
+def _not_utf8(path, exc):
+    """An IngestError naming the first byte of ``path`` that is not UTF-8.
+
+    ``exc`` counts its offset from the start of the buffer the text reader
+    was decoding, so the offset in the file comes from decoding it again.
+    """
+    with open(path, "rb") as raw:
+        data = raw.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as found:
+        exc = found
+    return IngestError(f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start} ({exc.reason})")
+
+
 def load_csv(path, cols="0,1", delimiter=",", decimal=".", strict=False, has_header=None):
     """Load a two-column claim-pair sample from a CSV file.
 
@@ -151,7 +166,8 @@ def load_csv(path, cols="0,1", delimiter=",", decimal=".", strict=False, has_hea
     1e400) or unparseable values are rejected with a diagnostic that names
     the row's line in the file; in strict mode the first bad row aborts.
     Blank rows and rows whose first cell starts with '#' are skipped, and a
-    UTF-8 byte order mark is ignored.
+    UTF-8 byte order mark is ignored. A file that is not UTF-8 is an
+    IngestError naming the offset of its first bad byte.
     ``decimal`` supports European exports (e.g. decimal=',').
     ``has_header`` of None sniffs: a first row that fails numeric parsing
     is treated as a header.
@@ -165,13 +181,16 @@ def load_csv(path, cols="0,1", delimiter=",", decimal=".", strict=False, has_hea
         return float(tok.replace(decimal, ".") if decimal != "." else tok)
 
     with fh:
-        idx, start, line = _sniff(fh, path, cols, delimiter, parse, has_header)
-        if decimal == ".":
-            sample = _columns_by_loadtxt(fh, start, idx, delimiter)
-            if sample is not None:
-                return sample
-        fh.seek(start)
-        return _rows_by_csv(fh, line, idx, path, parse, strict, delimiter)
+        try:
+            idx, start, line = _sniff(fh, path, cols, delimiter, parse, has_header)
+            if decimal == ".":
+                sample = _columns_by_loadtxt(fh, start, idx, delimiter)
+                if sample is not None:
+                    return sample
+            fh.seek(start)
+            return _rows_by_csv(fh, line, idx, path, parse, strict, delimiter)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from exc
 
 
 def write_csv(sample, path, header=("claim1", "claim2"), metadata=None):

@@ -142,6 +142,15 @@ def test_simulate_rejects_zero_n(params_json):
     assert run(["simulate", "--params", params_json, "--n", "0", "--seed", "1"]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("cmd", ["fit", "eval"])
+def test_non_utf8_input_is_an_input_error(cmd, params_json, tmp_path, capsys):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"a,b\n1,2\n\xe9,3\n")
+    extra = ["--params", params_json] if cmd == "eval" else []
+    assert run([cmd, "--input", p, "--cols", "a,b", "--seed", "1"] + extra) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"input error: {p}: not UTF-8: byte 0xe9 at offset 8")
+
+
 @pytest.mark.parametrize("cmd", [
     ["fit", "--restarts", "0"],
     ["fit", "--max-iter", "0"],

@@ -1,10 +1,13 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from claimsplice import estimation
 from claimsplice.composite import CompositeModel, CompositeParams
 from claimsplice.copula import GumbelCopula, clamp_pseudo_obs
 from claimsplice.estimation import (
@@ -205,6 +208,112 @@ def test_fit_bivariate_stage_attribution():
     y = np.ones(100) * 5.0
     with pytest.raises(DegenerateDataError, match="stage 1, marginal 1"):
         fit_bivariate(y, y, "weibull", "weibull")
+
+
+# ---------------------------------------------------------------------------
+# stage 1 across the process boundary: marginal 2 is fitted in a forked child
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the child process needs POSIX fork")
+
+
+@pytest.fixture(scope="module")
+def pair_and_fits():
+    from claimsplice.copula import BivariateModel
+
+    y1, y2 = BivariateModel(CompositeModel(WIW), CompositeModel(PIW), GumbelCopula(1.5)).sample_pairs(1500, 41)
+    return y1, y2, fit_marginal(y1, "weibull"), fit_marginal(y2, "paralogistic")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_fit_bivariate_marginals_equal_in_process_fits(pair_and_fits):
+    y1, y2, fit1, fit2 = pair_and_fits
+    rep = fit_bivariate(y1, y2, "weibull", "paralogistic")
+    # dataclass ==: params, loglik, n_iter and converged, field by field
+    assert (rep.marginal1, rep.marginal2) == (fit1, fit2)
+    assert_no_child_left()
+
+
+@needs_fork
+def test_fit_bivariate_attributes_a_marginal_2_failure():
+    y1 = np.random.default_rng(5).lognormal(8.0, 1.0, 100)
+    with pytest.raises(DegenerateDataError, match=r"stage 1, marginal 2 \(weibull\): degenerate sample"):
+        fit_bivariate(y1, np.full(100, 5.0), "weibull", "weibull")
+    assert_no_child_left()
+
+
+@needs_fork
+def test_fit_bivariate_reports_marginal_1_when_both_fail_and_leaves_no_child():
+    y = np.full(100, 5.0)
+    with pytest.raises(DegenerateDataError, match="stage 1, marginal 1"):
+        fit_bivariate(y, y, "weibull", "weibull")
+    assert_no_child_left()
+
+
+@needs_fork
+def test_fit_bivariate_inside_a_daemonic_pool_worker(pair_and_fits):
+    y1, y2 = pair_and_fits[:2]
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        pooled = pool.apply_async(fit_bivariate, (y1, y2, "weibull", "paralogistic")).get(timeout=300)
+    assert pooled == fit_bivariate(y1, y2, "weibull", "paralogistic")
+
+
+def test_fit_bivariate_without_fork_fits_in_process(pair_and_fits, monkeypatch):
+    y1, y2, fit1, fit2 = pair_and_fits
+    monkeypatch.delattr(os, "fork")
+    rep = fit_bivariate(y1, y2, "weibull", "paralogistic")
+    assert (rep.marginal1, rep.marginal2) == (fit1, fit2)
+
+
+@needs_fork
+def test_fit_bivariate_calls_a_closure_in_place_of_fit_marginal(pair_and_fits, monkeypatch):
+    y1, y2, fit1, fit2 = pair_and_fits
+    seen = []
+    real = estimation.fit_marginal
+
+    def wrapped(data, family, config=None):  # a local closure cannot be pickled
+        seen.append(family)
+        return real(data, family, config)
+
+    monkeypatch.setattr(estimation, "fit_marginal", wrapped)
+    rep = fit_bivariate(y1, y2, "weibull", "paralogistic")
+    assert (rep.marginal1, rep.marginal2) == (fit1, fit2)
+    assert seen == ["weibull"]  # marginal 2's call was made, and recorded, in the child
+
+
+class TwoArgError(ValueError):
+    """Pickles, but does not unpickle: its constructor takes two arguments and ``args`` holds one."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+@needs_fork
+def test_fit_bivariate_names_marginal_2_when_its_process_dies_or_its_error_cannot_travel(pair_and_fits, monkeypatch):
+    y1, y2 = pair_and_fits[:2]
+    real = estimation.fit_marginal
+
+    def dies(data, family, config=None):
+        if family == "paralogistic":
+            os._exit(3)
+        return real(data, family, config)
+
+    def odd_error(data, family, config=None):
+        if family == "paralogistic":
+            raise TwoArgError("odd", "error")
+        return real(data, family, config)
+
+    monkeypatch.setattr(estimation, "fit_marginal", dies)
+    with pytest.raises(RuntimeError, match=r"stage 1, marginal 2 \(paralogistic\): .*exit code 3"):
+        fit_bivariate(y1, y2, "weibull", "paralogistic")
+    monkeypatch.setattr(estimation, "fit_marginal", odd_error)
+    with pytest.raises(RuntimeError, match=r"stage 1, marginal 2 \(paralogistic\): TwoArgError\('odd error'\)"):
+        fit_bivariate(y1, y2, "weibull", "paralogistic")
+    assert_no_child_left()
 
 
 def test_fit_bivariate_by_tag_validates():

@@ -83,6 +83,18 @@ def test_utf8_byte_order_mark_is_ignored(tmp_path, text, cols):
     assert s.claim1.tolist() == [1.0, 3.0] and s.claim2.tolist() == [2.0, 4.0]
 
 
+@pytest.mark.parametrize("decimal, delimiter", [(".", ","), (",", ";")], ids=["loadtxt", "row-loop"])
+@pytest.mark.parametrize("rows", [1, 5000], ids=["first-buffer", "later-buffer"])
+def test_non_utf8_input_is_an_ingest_error_naming_the_byte_offset(tmp_path, decimal, delimiter, rows):
+    # a Latin-1 export: 0xe9 is "é"; past the text reader's first buffer the offset still counts from the file start
+    head = b"\xef\xbb\xbfa" + delimiter.encode() + b"b\n" + b"".join(b"%d%s%d\n" % (i + 1, delimiter.encode(), i + 2)
+                                                                for i in range(rows))
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(head + b"caf\xe9\n")
+    with pytest.raises(IngestError, match=rf"latin1.csv: not UTF-8: byte 0xe9 at offset {len(head) + 3} "):
+        load_csv(p, cols="a,b", delimiter=delimiter, decimal=decimal)
+
+
 def test_missing_column(tmp_path):
     p = write(tmp_path, "a,b\n1,2\n")
     with pytest.raises(IngestError, match="not found"):
