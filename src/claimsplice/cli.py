@@ -234,7 +234,8 @@ def build_parser():
     f = sub.add_parser("fit", help="fit one or all composite families")
     common(f)
     f.add_argument("--family", choices=TAGS + ["all"], default="all")
-    f.add_argument("--restarts", type=int, default=3)
+    f.add_argument("--restarts", type=int, default=3,
+                   help="threshold starts per marginal, at data quantiles 0.5, 0.7, 0.9 (at most three are used)")
     f.add_argument("--tol", type=float, default=1e-8)
     f.add_argument("--max-iter", type=int, default=5000)
     f.set_defaults(func=cmd_fit)

@@ -31,8 +31,8 @@ from claimsplice.families import (
 
 HeadParams = Union[WeibullParams, ParalogisticParams, InverseBurrParams]
 
-# the least positive double, and the least positive normal one
-_SMALLEST, _TINY = np.finfo(float).smallest_subnormal, np.finfo(float).tiny
+# the least positive normal double
+_TINY = np.finfo(float).tiny
 
 
 class Family(NamedTuple):
@@ -114,6 +114,7 @@ class CompositeModel:
             )
         # log weights, and the normalizers F_H(theta) and S_T(theta) in logs
         self.log_r, self.log_1mr, self.log_head_cdf_theta, self.log_tail_sf_theta = map(float, constants)
+        self.log_head_sf_theta = float(params.head.unchecked_logsf(np.log(params.theta), *astuple(params.head)))
         self.r = float(np.exp(self.log_r))
 
     @property
@@ -173,17 +174,24 @@ class CompositeModel:
         """Quantile; y <= theta for u <= r, y >= theta above, nondecreasing in u."""
 
         def head_ppf(u):
-            # u / r * F_H(theta) may round to 1 or above when F_H(theta) rounds to 1: cap below 1;
-            # for tiny u it and its quantile may underflow to 0: floor both, so that cdf/logpdf accept y
-            p = np.clip(np.exp(np.log(u) + self.log_head_cdf_theta - self.log_r), _SMALLEST, np.nextafter(1.0, 0.0))
-            return np.clip(self.params.head.ppf(p), _TINY, self.theta)
+            # S_H(y) = 1 - p with p = u / r * F_H(theta). From p = 1/2 up it is (r - u) / r + u / r * S_H(theta),
+            # with r - u exact, so that it keeps its relative precision as u nears r even where F_H(theta) rounds
+            # to 1; at u = r it is 0 where S_H(theta) underflows, and y is then theta.
+            # For tiny u the quantile may underflow to 0: floor it, so that cdf/logpdf accept y
+            p = np.exp(np.log(u) + self.log_head_cdf_theta - self.log_r)
+            head = self.params.head
+            with np.errstate(divide="ignore"):
+                near_r = (self.r - u) / self.r + u / self.r * np.exp(self.log_head_sf_theta)
+                log_s = np.where(p < 0.5, np.log1p(-np.minimum(p, 0.5)), np.log(near_r))
+                y = head.unchecked_ppf_logsf(log_s, *astuple(head))
+            return np.clip(y, _TINY, self.theta)
 
         def tail_ppf(u):
             # S_T(y) = (1 - u) / (1 - r) * S_T(theta), inverted through log S_T(y) <= log S_T(theta);
-            # log S_T(y) = 0 gives log F_T = -inf and the quantile 0, which the max lifts to theta
+            # log S_T(y) = 0 gives the quantile 0, which the max lifts to theta
             log_sf = np.minimum(np.log1p(-u) - self.log_1mr, 0.0) + self.log_tail_sf_theta
             tail = self.params.tail
-            return np.maximum(tail.unchecked_ppf_log(_log1mexp(-log_sf), tail.alpha, tail.gamma), self.theta)
+            return np.maximum(tail.unchecked_ppf_logsf(log_sf, *astuple(tail)), self.theta)
 
         return self._splice(_check_prob(u), self.r, head_ppf, tail_ppf)
 

@@ -32,7 +32,7 @@ def _check_phi(phi):
 def _check_uv(u, v):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if np.any(u <= 0) or np.any(u >= 1) or np.any(v <= 0) or np.any(v >= 1):
+    if not (np.all((u > 0) & (u < 1)) and np.all((v > 0) & (v < 1))):  # NaN fails both comparisons
         raise ValueError("u and v must lie strictly inside (0, 1)")
     return u, v
 

@@ -161,9 +161,10 @@ def _initial_guesses(family, data, theta0):
 def fit_marginal(data, family, config=None):
     """Maximum-likelihood fit of one composite marginal.
 
-    Runs a Nelder-Mead search from several threshold initializations
-    (data quantiles 0.5, 0.7, 0.9 cycled over the restart budget) and keeps
-    the best local maximum.
+    Runs a Nelder-Mead search from up to three threshold initializations
+    (the first ``config.restarts`` of the data quantiles 0.5, 0.7, 0.9) and
+    keeps the best local maximum. The search is deterministic from its
+    start, so a fourth start would repeat the first.
     """
     from scipy import optimize  # imported on first use: it makes up most of a CLI start
 
@@ -187,11 +188,10 @@ def fit_marginal(data, family, config=None):
             return np.inf
         return _kernels.composite_nll(head_cls, _pack_params(k, x, lo, hi), data, log_data)
 
-    quantiles = [0.5, 0.7, 0.9]
     best = None
     total_iter = 0
-    for i in range(config.restarts):
-        theta0 = float(np.quantile(data, quantiles[i % len(quantiles)]))
+    for q in [0.5, 0.7, 0.9][: config.restarts]:
+        theta0 = float(np.quantile(data, q))
         raw0 = _initial_guesses(family, data, theta0)
         x0 = np.concatenate([np.log(raw0[: k + 2]), [_unpack_theta(raw0[k + 2], lo, hi)]])
         res = optimize.minimize(

@@ -5,14 +5,15 @@ Weibull (tail). Each exposes pdf/cdf/quantile plus log-scale variants;
 everything is computed in log space internally so the kernels stay finite
 for claims spanning many orders of magnitude.
 
-Each log-density, log-cdf and log-sf formula, and the Inverse Weibull
-quantile of a log-probability (``unchecked_ppf_log``), is written once as a
+Each log-density, log-cdf, log-sf and quantile formula is written once as a
 static method of its parameter class that takes the parameters in field order
 and validates nothing. The density formulas ``unchecked_logpdf``,
 ``unchecked_logcdf`` and ``unchecked_logsf`` take ``(log_y, *params)``: log y,
 not y, so that a caller evaluating them many times on one sample takes the log
-once. The public methods validate y and pass ``np.log(y)``; the likelihood
-kernels call the formulas directly.
+once. Every quantile, ``unchecked_ppf_logsf``, takes the log survival log(1 - u)
+so that one far below 1 keeps its precision. The public methods validate y or u
+and pass ``np.log(y)`` or ``np.log1p(-u)``; the likelihood kernels and the
+spliced quantile call the formulas directly.
 
 Scale conventions follow the multiplicative form of the densities: the
 Paralogistic sigma and Inverse Burr tau enter as ``(y * sigma)`` and
@@ -67,7 +68,7 @@ def _check_positive_y(y):
 
 def _check_prob(u):
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
+    if not np.all((u > 0.0) & (u < 1.0)):  # NaN fails both comparisons
         raise ValueError("u must lie strictly inside (0, 1)")
     return u
 
@@ -99,6 +100,9 @@ class _PositiveParamsMixin:
     def sf(self, y):
         return np.exp(self.logsf(y))
 
+    def ppf(self, u):
+        return self.unchecked_ppf_logsf(np.log1p(-_check_prob(u)), *astuple(self))
+
 
 @dataclass(frozen=True)
 class WeibullParams(_PositiveParamsMixin):
@@ -120,9 +124,9 @@ class WeibullParams(_PositiveParamsMixin):
     def unchecked_logsf(log_y, mu, sigma):
         return -np.exp(mu * (log_y - np.log(sigma)))
 
-    def ppf(self, u):
-        u = _check_prob(u)
-        return self.sigma * (-np.log1p(-u)) ** (1.0 / self.mu)
+    @staticmethod
+    def unchecked_ppf_logsf(log_s, mu, sigma):
+        return sigma * (-log_s) ** (1.0 / mu)
 
 
 @dataclass(frozen=True)
@@ -146,11 +150,10 @@ class ParalogisticParams(_PositiveParamsMixin):
     def unchecked_logsf(log_y, mu, sigma):
         return -mu * _softplus(mu * (log_y + np.log(sigma)))
 
-    def ppf(self, u):
-        u = _check_prob(u)
-        # (1 + x)^(-mu) = 1 - u with x = (sigma*y)^mu
-        x = np.expm1(-np.log1p(-u) / self.mu)
-        return x ** (1.0 / self.mu) / self.sigma
+    @staticmethod
+    def unchecked_ppf_logsf(log_s, mu, sigma):
+        # (1 + x)^(-mu) = S with x = (sigma*y)^mu
+        return np.expm1(-log_s / mu) ** (1.0 / mu) / sigma
 
 
 @dataclass(frozen=True)
@@ -177,14 +180,12 @@ class InverseBurrParams(_PositiveParamsMixin):
     def unchecked_logsf(log_y, mu, sigma, tau):
         return _log1mexp(mu * _softplus(-sigma * (log_y + np.log(tau))))
 
-    def ppf(self, u):
-        u = _check_prob(u)
-        # (y*tau)^(-sigma) = u^(-1/mu) - 1 = expm1(a); where that overflows, it is exp(a) to double
-        # precision, so y*tau = exp(-a / sigma)
-        a = -np.log(u) / self.mu
-        with np.errstate(over="ignore"):
-            x = np.expm1(a)
-        return np.where(np.isinf(x), np.exp(-a / self.sigma), x ** (-1.0 / self.sigma)) / self.tau
+    @staticmethod
+    def unchecked_ppf_logsf(log_s, mu, sigma, tau):
+        # (y*tau)^(-sigma) = F^(-1/mu) - 1 = expm1(a) = exp(a) (1 - exp(-a)), raised to -1/sigma factor
+        # by factor, so that it cannot overflow where expm1(a) does
+        a = -_log1mexp(-log_s) / mu
+        return np.exp(-a / sigma) * (-np.expm1(-a)) ** (-1.0 / sigma) / tau
 
 
 @dataclass(frozen=True)
@@ -208,8 +209,5 @@ class InverseWeibullParams(_PositiveParamsMixin):
         return _log1mexp(np.exp(alpha * (np.log(gamma) - log_y)))
 
     @staticmethod
-    def unchecked_ppf_log(log_u, alpha, gamma):
-        return gamma * (-log_u) ** (-1.0 / alpha)
-
-    def ppf(self, u):
-        return self.unchecked_ppf_log(np.log(_check_prob(u)), self.alpha, self.gamma)
+    def unchecked_ppf_logsf(log_s, alpha, gamma):
+        return gamma * (-_log1mexp(-log_s)) ** (-1.0 / alpha)

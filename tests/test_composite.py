@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -223,9 +226,32 @@ def test_quantile_round_trip_property(seed, family, q, upper):
     _check_splice_contract(m, u[(u > 0.0) & (u < 1.0)])
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        CompositeParams(WeibullParams(1.5, 2000.0), InverseWeibullParams(2.0, 6e5), 30000.0),
+        CompositeParams(WeibullParams(1.5, 2000.0), InverseWeibullParams(3.0, 1.2e5), 30000.0),
+        CompositeParams(ParalogisticParams(3.0, 0.001), InverseWeibullParams(2.0, 6e5), 1e5),
+    ],
+    ids=["weibull-r3e-148", "weibull-r6e-3", "paralogistic-r0.9995"],
+)
+@pytest.mark.parametrize("q", [1e-3, 1e-6, 1e-9, 1e-12, 1e-15])
+def test_head_quantile_just_below_the_weight(params, q):
+    # F_H(theta) is within 1e-17 of 1 here, so 1 - u / r * F_H(theta) keeps no digits in floats
+    # near u = r; the oracle forms it exactly from the model's r and S_H(theta)
+    m = CompositeModel(params)
+    s_theta = math.exp(m.log_head_sf_theta)
+    assert s_theta < 1e-17
+    u = m.r * (1.0 - q)
+    survival = 1 - Fraction(u) / Fraction(m.r) * (1 - Fraction(s_theta))
+    y = m.ppf(u)
+    assert y <= params.theta
+    assert params.head.logsf(y) == pytest.approx(math.log(survival), rel=1e-12)
+
+
 def test_quantile_domain_errors():
     m = CompositeModel(WIW)
-    for bad in (0.0, 1.0, -0.2, 1.7):
+    for bad in (0.0, 1.0, -0.2, 1.7, np.nan, [0.5, np.nan]):
         with pytest.raises(ValueError):
             m.ppf(bad)
 

@@ -99,6 +99,15 @@ def test_kendall_tau_closed_form():
     assert GumbelCopula.from_kendall_tau(0.0663).phi == pytest.approx(1.0710, abs=1e-3)
 
 
+def test_uniforms_outside_the_open_unit_square_rejected():
+    c = GumbelCopula(1.5)
+    for u, v in ((0.0, 0.5), (0.5, 1.0), (np.nan, 0.5), (0.5, np.nan), ([0.5, np.nan], [0.5, 0.5])):
+        with pytest.raises(ValueError):
+            c.cdf(u, v)
+        with pytest.raises(ValueError):
+            c.logpdf(u, v)
+
+
 def test_phi_admissibility():
     with pytest.raises(ValueError):
         GumbelCopula(0.99)

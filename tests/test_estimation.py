@@ -238,6 +238,12 @@ def test_fit_bivariate_marginals_equal_in_process_fits(pair_and_fits):
     assert_no_child_left()
 
 
+def test_fit_marginal_runs_at_most_three_starts(pair_and_fits):
+    # the search is deterministic from its start, so a fourth start would repeat the first
+    y1, _, fit1, _ = pair_and_fits
+    assert fit_marginal(y1, "weibull", OptimizerConfig(restarts=4)) == fit1
+
+
 @needs_fork
 def test_fit_bivariate_attributes_a_marginal_2_failure():
     y1 = np.random.default_rng(5).lognormal(8.0, 1.0, 100)

@@ -107,6 +107,16 @@ def test_quantile_cdf_round_trip(params):
     assert params.cdf(params.ppf(u)) == pytest.approx(u, rel=1e-8)
 
 
+@pytest.mark.parametrize("params", ALL_PARAMS[::2], ids=str)
+def test_quantile_far_tail_round_trip(params):
+    # every family inverts log(1 - u) with one formula: both log probabilities of the quantile hold at either end
+    u = np.array([1e-300, 1e-15, 0.5, 1.0 - 1e-15])
+    y = params.ppf(u)
+    assert np.all(y > 0.0) and np.all(np.diff(y) > 0.0)
+    assert params.logcdf(y) == pytest.approx(np.log(u), rel=1e-9)
+    assert params.logsf(y) == pytest.approx(np.log1p(-u), rel=1e-9)
+
+
 def test_inverse_burr_quantile_past_the_overflow_of_its_power():
     # u^(-1/mu) - 1 overflows for -log(u) / mu above about 709.8; y*tau = (u^(-1/mu) - 1)^(-1/sigma) does not
     h = InverseBurrParams(0.5, 1.5, 1e-3)
@@ -132,10 +142,9 @@ def test_domain_errors(params):
         params.pdf(0.0)
     with pytest.raises(ValueError):
         params.cdf(-1.0)
-    with pytest.raises(ValueError):
-        params.ppf(0.0)
-    with pytest.raises(ValueError):
-        params.ppf(1.0)
+    for bad in (0.0, 1.0, np.nan, [0.5, np.nan]):
+        with pytest.raises(ValueError):
+            params.ppf(bad)
 
 
 @pytest.mark.parametrize(
