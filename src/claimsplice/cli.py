@@ -18,6 +18,7 @@ from dataclasses import fields
 import numpy as np
 
 from claimsplice import __version__
+from claimsplice._fork import _forked
 from claimsplice.composite import FAMILIES, TAGS, CompositeModel, CompositeParams, family_of_tag
 from claimsplice.families import InverseWeibullParams
 from claimsplice.copula import BivariateModel, GumbelCopula
@@ -174,6 +175,12 @@ def cmd_fit(args):
     _emit(doc, args)
 
 
+def _csv_rows(y1, y2):
+    """The data lines of a sample, each float as repr writes it; lazy, so the lists are made where it is consumed."""
+    for a, b in zip(y1.tolist(), y2.tolist()):
+        yield f"{a!r},{b!r}\n"
+
+
 def cmd_simulate(args):
     model = load_params_json(args.params)
     y1, y2 = model.sample_pairs(args.n, args.seed)
@@ -183,11 +190,17 @@ def cmd_simulate(args):
         f"marginal2={json.dumps(_marginal_to_dict(model.marginal2.params, model.marginal2.r), sort_keys=True)}",
         f"phi={model.copula.phi}",
     ]
-    # line by line: the rows of a large sample are never held as one list or one string
-    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+    # repr of the floats is most of the run time, so a forked child formats rows [n/2, n) into one string while
+    # this process writes rows [0, n/2) line by line, then the child's string; without fork both halves run here
+    half = args.n // 2
+    with (
+        _forked("".join, _csv_rows(y1[half:], y2[half:])) as second_half,
+        open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as fh,
+    ):
         fh.writelines(f"# {m}\n" for m in meta)
         fh.write("claim1,claim2\n")
-        fh.writelines(f"{a!r},{b!r}\n" for a, b in zip(y1.tolist(), y2.tolist()))
+        fh.writelines(_csv_rows(y1[:half], y2[:half]))
+        fh.write(second_half())
 
 
 def cmd_eval(args):

@@ -175,13 +175,17 @@ class CompositeModel:
 
         def head_ppf(u):
             # S_H(y) = 1 - p with p = u / r * F_H(theta). From p = 1/2 up it is (r - u) / r + u / r * S_H(theta),
-            # with r - u exact, so that it keeps its relative precision as u nears r even where F_H(theta) rounds
-            # to 1; at u = r it is 0 where S_H(theta) underflows, and y is then theta.
+            # with r - u to its relative precision, so that it keeps that precision as u nears r even where
+            # F_H(theta) rounds to 1; at u = r it is 0 where S_H(theta) underflows, and y is then theta.
+            # Above r = 1/2 the float r is off by up to 1.1e-16, so there r - u is (1 - u) - (1 - r): 1 - u is
+            # exact for u >= 1/2, and 1 - r = exp(log(1 - r)) is as precise as log(1 - r). Every u up to the
+            # float r takes this branch, so that difference may fall below 0, and it is clamped there.
             # For tiny u the quantile may underflow to 0: floor it, so that cdf/logpdf accept y
             p = np.exp(np.log(u) + self.log_head_cdf_theta - self.log_r)
             head = self.params.head
+            r_minus_u = np.maximum((1.0 - u) - np.exp(self.log_1mr), 0.0) if self.r > 0.5 else self.r - u
             with np.errstate(divide="ignore"):
-                near_r = (self.r - u) / self.r + u / self.r * np.exp(self.log_head_sf_theta)
+                near_r = r_minus_u / self.r + u / self.r * np.exp(self.log_head_sf_theta)
                 log_s = np.where(p < 0.5, np.log1p(-np.minimum(p, 0.5)), np.log(near_r))
                 y = head.unchecked_ppf_logsf(log_s, *astuple(head))
             return np.clip(y, _TINY, self.theta)

@@ -4,7 +4,8 @@ Stage 1 maximizes each marginal composite log-likelihood with a restarted
 Nelder-Mead simplex on transformed parameters; the likelihood is not smooth
 in the threshold at data points, so a derivative-free search is deliberate.
 The two marginal fits share nothing, so ``fit_bivariate`` runs marginal 2
-in a forked child while marginal 1 runs in the calling process.
+in a forked child, through the helper in ``claimsplice._fork``, while
+marginal 1 runs in the calling process.
 Stage 2 plugs the fitted marginal cdfs in as pseudo-observations and
 maximizes the Gumbel copula likelihood over its single parameter.
 
@@ -14,17 +15,15 @@ joint decomposition l = l_marginal1 + l_marginal2 + l_copula.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-import os
-import pickle
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from claimsplice import _kernels
+from claimsplice._fork import _forked
 from claimsplice.composite import FAMILIES, TAGS, CompositeModel, CompositeParams, family_of_tag
 from claimsplice.families import InverseWeibullParams
 from claimsplice.copula import BivariateModel, GumbelCopula, clamp_pseudo_obs
@@ -256,76 +255,6 @@ def fit_copula(u, v, config=None):
     if loglik <= 0.0 or phi <= 1.0 + 1e-6:
         phi, loglik = 1.0, 0.0
     return CopulaFit(phi=phi, loglik=loglik, at_boundary=phi == 1.0, converged=bool(res.success))
-
-
-def _child_main(wfd, fn, args):
-    """Body of a forked child: send ``fn(*args)``'s outcome down ``wfd`` and exit without unwinding."""
-    code = 1
-    try:
-        try:
-            outcome = (True, fn(*args))
-        except BaseException as exc:  # the parent raises it
-            outcome = (False, exc)
-        try:
-            data = pickle.dumps(outcome)
-            pickle.loads(data)  # an exception whose constructor cannot be replayed fails here, not in the parent
-        except Exception:
-            data = pickle.dumps((False, RuntimeError(repr(outcome[1]))))
-        with os.fdopen(wfd, "wb") as pipe:
-            pipe.write(data)
-        code = 0
-    finally:
-        os._exit(code)  # never return into the caller's stack, its finally blocks or atexit
-
-
-@contextlib.contextmanager
-def _forked(fn, *args):
-    """Start ``fn(*args)`` in a forked child and yield a function that returns its result.
-
-    The result, or the exception the call raised, comes back pickled over a
-    pipe; ``fn`` itself never crosses it, so a closure works. Leaving the
-    block kills a child whose result was not asked for, and reaps the child
-    either way. Where ``os.fork`` does not exist, the yielded function makes
-    the call in-process.
-    """
-    if not hasattr(os, "fork"):
-        yield functools.partial(fn, *args)
-        return
-    import signal  # here, so that importing the CLI loads no module it did not load before
-
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        raise
-    if pid == 0:
-        os.close(rfd)
-        _child_main(wfd, fn, args)
-    os.close(wfd)
-    reaped = False
-    try:
-        with os.fdopen(rfd, "rb") as pipe:
-
-            def result():
-                nonlocal reaped
-                data = pipe.read()
-                status = os.waitpid(pid, 0)[1]
-                reaped = True
-                if not data:
-                    code = os.waitstatus_to_exitcode(status)
-                    raise RuntimeError(f"its process ended without a result (exit code {code})")
-                ok, value = pickle.loads(data)  # bytes written by our own child
-                if ok:
-                    return value
-                raise value
-
-            yield result
-    finally:
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def fit_bivariate(y1, y2, family1, family2, config=None):

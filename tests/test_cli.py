@@ -14,6 +14,7 @@ from claimsplice.copula import BivariateModel, GumbelCopula
 from claimsplice.estimation import CopulaFit, FitReport, MarginalFit, aic, bic
 from claimsplice.families import InverseWeibullParams, WeibullParams
 from tests.test_composite import WIW
+from tests.test_estimation import assert_no_child_left, needs_fork
 
 WIW2 = CompositeParams(WeibullParams(1.3, 1500.0), InverseWeibullParams(1.5, 6000.0), 4000.0)
 TRUTH = BivariateModel(CompositeModel(WIW), CompositeModel(WIW2), GumbelCopula(1.5))
@@ -129,6 +130,59 @@ def test_simulate_writes_metadata_and_is_deterministic(params_json, tmp_path, ca
     assert head[0].startswith("# schema=") and "seed=3" in head[0]
     assert any("phi=1.5" in line for line in head[:5])
     assert len(head) - 5 == 500
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["fork", "no-fork"])
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize("n", [1, 2, 3, 2001])
+def test_simulate_rows_equal_one_process_formatting(params_json, tmp_path, capsys, monkeypatch, n, to_file, fork):
+    # a forked child formats the second half of the rows; the file must be the one a serial loop writes
+    if not fork:
+        monkeypatch.delattr(os, "fork", raising=False)
+    elif not hasattr(os, "fork"):
+        pytest.skip("the child process needs POSIX fork")
+    out = tmp_path / "sim.csv"
+    args = ["simulate", "--params", params_json, "--n", n, "--seed", 9]
+    assert run(args + (["--out", out] if to_file else [])) == EXIT_OK
+    text = out.read_text(encoding="utf-8") if to_file else capsys.readouterr().out
+    meta, header, rows = text.partition("claim1,claim2\n")
+    y1, y2 = TRUTH.sample_pairs(n, 9)
+    assert header and rows == "".join(f"{a!r},{b!r}\n" for a, b in zip(y1.tolist(), y2.tolist()))
+    assert [line[:2] for line in meta.splitlines()] == ["# "] * 4
+    if fork:
+        assert_no_child_left()
+
+
+def _rows_failing_in(process, monkeypatch, fail):
+    """Make cli's row formatter call ``fail`` in the parent or in the forked child; the other side runs as usual."""
+    real, parent = claimsplice.cli._csv_rows, os.getpid()
+
+    def rows(y1, y2):
+        if (os.getpid() == parent) == (process == "parent"):
+            fail()
+        yield from real(y1, y2)
+
+    monkeypatch.setattr(claimsplice.cli, "_csv_rows", rows)
+
+
+@needs_fork
+def test_simulate_fails_when_the_formatting_child_dies(params_json, tmp_path, monkeypatch):
+    _rows_failing_in("child", monkeypatch, lambda: os._exit(3))
+    # main raises, so the claimsplice process ends with a non-zero exit status
+    with pytest.raises(RuntimeError, match="exit code 3"):
+        run(["simulate", "--params", params_json, "--n", "2001", "--seed", "1", "--out", tmp_path / "sim.csv"])
+    assert_no_child_left()
+
+
+@needs_fork
+def test_simulate_leaves_no_child_when_its_own_half_fails(params_json, tmp_path, monkeypatch):
+    def disk_full():
+        raise OSError(28, "No space left on device")
+
+    _rows_failing_in("parent", monkeypatch, disk_full)
+    with pytest.raises(OSError, match="No space left"):
+        run(["simulate", "--params", params_json, "--n", "2001", "--seed", "1", "--out", tmp_path / "sim.csv"])
+    assert_no_child_left()
 
 
 def test_simulate_rejects_inadmissible_phi(tmp_path):

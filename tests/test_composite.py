@@ -232,21 +232,26 @@ def test_quantile_round_trip_property(seed, family, q, upper):
         CompositeParams(WeibullParams(1.5, 2000.0), InverseWeibullParams(2.0, 6e5), 30000.0),
         CompositeParams(WeibullParams(1.5, 2000.0), InverseWeibullParams(3.0, 1.2e5), 30000.0),
         CompositeParams(ParalogisticParams(3.0, 0.001), InverseWeibullParams(2.0, 6e5), 1e5),
+        CompositeParams(WeibullParams(1.5, 2000.0), InverseWeibullParams(1.2, 8000.0), 24000.0),
     ],
-    ids=["weibull-r3e-148", "weibull-r6e-3", "paralogistic-r0.9995"],
+    ids=["weibull-r3e-148", "weibull-r6e-3", "paralogistic-r0.9995", "weibull-1-r5e-17"],
 )
 @pytest.mark.parametrize("q", [1e-3, 1e-6, 1e-9, 1e-12, 1e-15])
 def test_head_quantile_just_below_the_weight(params, q):
     # F_H(theta) is within 1e-17 of 1 here, so 1 - u / r * F_H(theta) keeps no digits in floats
-    # near u = r; the oracle forms it exactly from the model's r and S_H(theta)
+    # near u = r; the oracle forms S_H(y) = (r - u) / r + u / r * S_H(theta) exactly from the model's
+    # r and S_H(theta). Above 1/2 the model's r is 1 - exp(log(1 - r)): the float r rounds off the
+    # digits of 1 - r below 1.1e-16, all of them in the weibull-1-r5e-17 case
     m = CompositeModel(params)
     s_theta = math.exp(m.log_head_sf_theta)
     assert s_theta < 1e-17
+    r = 1 - Fraction(math.exp(m.log_1mr)) if m.r > 0.5 else Fraction(m.r)
     u = m.r * (1.0 - q)
-    survival = 1 - Fraction(u) / Fraction(m.r) * (1 - Fraction(s_theta))
+    survival = (r - Fraction(u)) / r + Fraction(u) / r * Fraction(s_theta)
     y = m.ppf(u)
     assert y <= params.theta
     assert params.head.logsf(y) == pytest.approx(math.log(survival), rel=1e-12)
+    assert m.sf(y) == pytest.approx(1.0 - u, rel=1e-9)
 
 
 def test_quantile_domain_errors():
@@ -312,9 +317,6 @@ def test_survival_of_quantile(params, q):
 def test_survival_round_trip_property(seed, family, q):
     m = CompositeModel(random_composite(family, np.random.default_rng(seed)))
     u = 1.0 - q
-    # the tail only: a head quantile inverts u / r * F_H(theta), which rounds at the spacing of doubles
-    # below 1 when F_H(theta) is near 1, so 1 - u keeps no relative precision there
-    assume(u > m.r + 1e-12)
     assert abs(m.sf(m.ppf(u)) - (1.0 - u)) <= 1e-9 * (1.0 - u)
 
 
