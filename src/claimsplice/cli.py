@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import secrets
 import sys
 from dataclasses import fields
@@ -26,10 +27,10 @@ from claimsplice.estimation import (
     ConvergenceError,
     DegenerateDataError,
     OptimizerConfig,
+    _fit_stages,
     aic,
     bic,
     empirical_kendall_tau,
-    fit_bivariate_by_tag,
 )
 from claimsplice.ingest import IngestError, histogram_export, load_csv, summarize_sample
 
@@ -40,6 +41,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONVERGENCE = 3
 EXIT_PARAMS = 4
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a writer that SIGPIPE ends, as in `yes | head`
 
 
 def _marginal_to_dict(params: CompositeParams, r):
@@ -162,9 +164,14 @@ def cmd_fit(args):
     sample = load_csv(args.input, cols=args.cols, strict=args.strict)
     config = OptimizerConfig(max_iter=args.max_iter, tol=args.tol, restarts=args.restarts)
     tags = TAGS if args.family == "all" else [args.family]
-    models = []
+    fits = {}
     for tag in tags:
-        rep = fit_bivariate_by_tag(sample.claim1, sample.claim2, tag, config)
+        fam = family_of_tag(tag)
+        fits[tag] = _fit_stages(sample.claim1, sample.claim2, fam, fam, config)
+    tau = empirical_kendall_tau(sample.claim1, sample.claim2)  # depends on the data alone: one for every model
+    models = []
+    for tag, rep in fits.items():
+        rep.empirical_tau = tau
         models.append(_report_from_fit(tag, rep))
     models.sort(key=lambda m: (m["aic"], m["bic"]))
     doc = {
@@ -283,6 +290,14 @@ def main(argv=None):
     try:
         _check_options(args)
         args.func(args)
+        sys.stdout.flush()  # a reader that left before the last write is then seen here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader left (`simulate ... | head`): stop quietly, and send what stdout still buffers to devnull
+        # so that the flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (IngestError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -258,13 +258,20 @@ def fit_copula(u, v, config=None):
 
 
 def fit_bivariate(y1, y2, family1, family2, config=None):
-    """Full two-stage fit of the bivariate composite model.
+    """Full two-stage fit of the bivariate composite model, with the data's empirical Kendall tau.
 
     Marginal 2 is fitted in a forked child while marginal 1 is fitted here;
     each fit runs the same code on the same data as a call of
     ``fit_marginal``. Stage failures carry the stage identity in the raised
     error message, and marginal 1's failure is the one reported.
     """
+    report = _fit_stages(y1, y2, family1, family2, config)
+    report.empirical_tau = empirical_kendall_tau(y1, y2)
+    return report
+
+
+def _fit_stages(y1, y2, family1, family2, config):
+    """``fit_bivariate`` without the empirical tau, which depends on the data alone."""
     import scipy.optimize  # noqa: F401  (loaded before the fork, so the child does not import it again)
 
     y1 = np.asarray(y1, dtype=float)
@@ -283,9 +290,7 @@ def fit_bivariate(y1, y2, family1, family2, config=None):
         cop = fit_copula(fits[0].model.cdf(y1), fits[1].model.cdf(y2), config)
     except (ValueError, RuntimeError) as exc:
         raise type(exc)(f"stage 2, copula: {exc}") from exc
-    report = FitReport(marginal1=fits[0], marginal2=fits[1], copula=cop, n=y1.size)
-    report.empirical_tau = empirical_kendall_tau(y1, y2)
-    return report
+    return FitReport(marginal1=fits[0], marginal2=fits[1], copula=cop, n=y1.size)
 
 
 def fit_bivariate_by_tag(y1, y2, tag, config=None):
@@ -306,30 +311,67 @@ def _tied_pairs(*sorted_cols):
     return int(np.sum(runs * (runs - 1) // 2))
 
 
-def _inversions(y):
-    """Pairs i < j with y[j] < y[i], by a bottom-up merge sort over integer ranks.
+def _min_ranks(v):
+    """Each value's 0-based rank, equal values sharing the lowest, and ``v`` sorted.
 
-    Keys block * n + rank keep the blocks apart in one sorted array: per level, one
-    searchsorted counts inversions across every block's halves and one sort merges them.
+    One argsort; each run of equal values takes the position where it starts.
     """
-    n = y.size
-    keys = np.searchsorted(np.sort(y), y)  # ranks in [0, n); ties share one
-    swaps, width = 0, 1
-    while width < n:
-        block, offset = np.divmod(np.arange(n), 2 * width)
-        right = offset >= width
-        keys = block * n + keys % n
-        # every block with a right half has a full left half: (b + 1) * width left elements up to block b
-        swaps += int(np.sum((block[right] + 1) * width - np.searchsorted(keys[~right], keys[right], side="right")))
-        keys = np.sort(keys)
-        width *= 2
+    order = np.argsort(v)
+    sorted_v = v[order]
+    first = np.arange(v.size, dtype=np.int64)
+    first[1:][sorted_v[1:] == sorted_v[:-1]] = 0
+    np.maximum.accumulate(first, out=first)
+    ranks = np.empty_like(first)
+    ranks[order] = first
+    return ranks, sorted_v
+
+
+def _inversions(ranks):
+    """Pairs i < j with ranks[j] < ranks[i], for integer ranks in [0, n); a merge sort with one int64 sort per level.
+
+    The level that merges blocks of 2w slots gives slot p the key
+    ((block * n + rank) << 1) | right, with block = p // 2w and right set in the
+    block's second half (p & w). One sort of these keys merges every block's two
+    sorted halves, and equal ranks sort left before right, so a tie never
+    counts. The right-half element k slots into its half ends k + (left elements
+    not above it) slots into the block, so the level's inversions are the sum of
+    the right-half offsets before the sort minus the sum of the offsets holding
+    a set side bit after it; every block keeps its number of right elements, so
+    slot numbers stand in for offsets. Keys stay below n**2 + 2n, so int64
+    holds them for any n below 3e9.
+    """
+    n = ranks.size
+    slot = np.arange(n, dtype=np.int64)
+    keys = ranks.astype(np.int64)  # a copy, sorted in place below
+    tag, side = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    swaps, shift = 0, 0  # w = 1 << shift
+    while (1 << shift) < n:
+        np.right_shift(slot, shift + 1, out=tag)
+        tag *= n
+        keys += tag
+        keys <<= 1
+        np.right_shift(slot, shift, out=side)
+        side &= 1
+        keys |= side
+        swaps += int(np.dot(slot, side))
+        keys.sort()
+        np.bitwise_and(keys, 1, out=side)
+        swaps -= int(np.dot(slot, side))
+        keys >>= 1
+        keys %= n
+        shift += 1
     return swaps
 
 
 def empirical_kendall_tau(x, y):
-    """Tie-adjusted Kendall's tau-b in O(n log n) (merge-sort inversion count).
+    """Tie-adjusted Kendall's tau-b in O(n log n) (Knight's merge-sort inversion count).
 
-    The test suite checks it pair-for-pair against an O(n^2) enumeration.
+    Each column is ranked by one argsort (``_min_ranks``); one sort of the joint
+    keys rank_x * n + rank_y puts the rows in (x, y) order, with the y ranks
+    ascending within tied x, so tied-x pairs never count as inversions. The
+    x-, y- and joint ties are run lengths of the sorted columns and keys. The
+    counts are exact integers. The test suite checks it pair-for-pair against
+    an O(n^2) enumeration.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -341,12 +383,14 @@ def empirical_kendall_tau(x, y):
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise DegenerateDataError("Kendall's tau undefined for a constant coordinate")
 
-    order = np.lexsort((y, x))
-    xs, ys = x[order], y[order]
+    rank_x, xs = _min_ranks(x)
+    rank_y, ys = _min_ranks(y)
+    keys = rank_x * n + rank_y
+    keys.sort()
     n0 = n * (n - 1) // 2
     n1 = _tied_pairs(xs)  # pairs tied in x
-    n2 = _tied_pairs(np.sort(ys))  # pairs tied in y
-    joint = _tied_pairs(xs, ys)  # pairs tied in both coordinates
-    swaps = _inversions(ys)  # ys ascends within tied x, so tied-x pairs never count
+    n2 = _tied_pairs(ys)  # pairs tied in y
+    joint = _tied_pairs(keys)  # pairs tied in both coordinates
+    swaps = _inversions(keys % n)
     num = n0 - n1 - n2 + joint - 2 * swaps
     return num / math.sqrt((n0 - n1) * (n0 - n2))

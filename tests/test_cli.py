@@ -8,11 +8,21 @@ import numpy as np
 import pytest
 
 import claimsplice
-from claimsplice.cli import EXIT_CONVERGENCE, EXIT_INPUT, EXIT_OK, EXIT_PARAMS, _report_from_fit, main
-from claimsplice.composite import CompositeModel, CompositeParams
+from claimsplice import cli
+from claimsplice.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_CONVERGENCE,
+    EXIT_INPUT,
+    EXIT_OK,
+    EXIT_PARAMS,
+    _report_from_fit,
+    main,
+)
+from claimsplice.composite import TAGS, CompositeModel, CompositeParams
 from claimsplice.copula import BivariateModel, GumbelCopula
-from claimsplice.estimation import CopulaFit, FitReport, MarginalFit, aic, bic
+from claimsplice.estimation import CopulaFit, FitReport, MarginalFit, OptimizerConfig, aic, bic, fit_bivariate_by_tag
 from claimsplice.families import InverseWeibullParams, WeibullParams
+from claimsplice.ingest import load_csv
 from tests.test_composite import WIW
 from tests.test_estimation import assert_no_child_left, needs_fork
 
@@ -82,6 +92,25 @@ def test_fit_deterministic_byte_identical(data_csv, tmp_path):
                     "--family", "pariw", "--seed", "9", "--out", out, "--restarts", "1"]) == EXIT_OK
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_fit_all_computes_the_empirical_tau_once(data_csv, tmp_path, monkeypatch):
+    calls = []
+    tau = cli.empirical_kendall_tau
+    monkeypatch.setattr(cli, "empirical_kendall_tau", lambda x, y: calls.append(1) or tau(x, y))
+    out = tmp_path / "all.json"
+    assert run(["fit", "--input", data_csv, "--cols", "tcost_bi,tcost_pd", "--family", "all", "--seed", "1",
+                "--restarts", "1", "--max-iter", "300", "--out", out]) == EXIT_OK
+    assert len(calls) == 1
+    # the report that fitting each tag with its own tau gives, as fit_bivariate_by_tag does for library callers
+    sample = load_csv(data_csv, cols="tcost_bi,tcost_pd")
+    config = OptimizerConfig(max_iter=300, restarts=1)
+    doc = json.loads(out.read_text())
+    doc["models"] = sorted(
+        (_report_from_fit(tag, fit_bivariate_by_tag(sample.claim1, sample.claim2, tag, config)) for tag in TAGS),
+        key=lambda m: (m["aic"], m["bic"]),
+    )
+    assert out.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_fit_n_too_small(tmp_path):
@@ -182,6 +211,39 @@ def test_simulate_leaves_no_child_when_its_own_half_fails(params_json, tmp_path,
     _rows_failing_in("parent", monkeypatch, disk_full)
     with pytest.raises(OSError, match="No space left"):
         run(["simulate", "--params", params_json, "--n", "2001", "--seed", "1", "--out", tmp_path / "sim.csv"])
+    assert_no_child_left()
+
+
+_MAIN_THEN_CHECK_CHILDREN = """
+import os, sys
+from claimsplice.cli import main
+status = main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(status)
+sys.exit("the formatting child was not reaped")
+"""
+
+
+@needs_fork
+@pytest.mark.parametrize("n, lines_read", [(3, 0), (20001, 1)])
+def test_simulate_into_a_reader_that_leaves_early_exits_quietly(params_json, n, lines_read):
+    # 3 rows stay in stdout's buffer until the command's last flush; 20 001 rows are far more than a pipe
+    # holds, so a write fails in the parent's half with the formatting child still running
+    env = _env_with_src()
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as by default
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _MAIN_THEN_CHECK_CHILDREN, "simulate", "--params", str(params_json),
+         "--n", str(n), "--seed", "2"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline().startswith(b"# schema=")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
+    assert stderr == b""
     assert_no_child_left()
 
 
@@ -289,12 +351,17 @@ def test_simulate_fit_round_trip(params_json, tmp_path):
     assert m["marginal1"]["theta"] == pytest.approx(5000.0, rel=0.15)
 
 
+def _env_with_src():
+    """The environment for a fresh interpreter that imports this checkout's claimsplice."""
+    src = str(Path(claimsplice.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _modules_after_cli_import(prefix):
     """Names of the modules under ``prefix`` that a fresh ``import claimsplice.cli`` loads."""
-    src = str(Path(claimsplice.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = f"import sys, claimsplice.cli; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code], env=_env_with_src(),
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()
 

@@ -387,6 +387,46 @@ def test_tau_pinned_on_cents_rounded_sample():
     assert empirical_kendall_tau(x, y) == 0.4105433220349085
 
 
+def test_tau_pinned_on_a_tie_free_sample():
+    # 200 000 distinct values in each column: every merge level runs, and no tie correction hides a miscount
+    rng = np.random.default_rng(200000)
+    z = rng.standard_normal((2, 200000))
+    x, y = z[0], 0.6 * z[0] + 0.8 * z[1]
+    assert np.unique(x).size == np.unique(y).size == x.size
+    assert empirical_kendall_tau(x, y) == 0.40981053745268725
+
+
+def test_tau_counts_signed_zeros_as_ties():
+    rng = np.random.default_rng(7)
+    x, y = rng.integers(-2, 3, size=(2, 300)).astype(float)
+    signed = [np.where((v == 0) & (rng.random(v.size) < 0.5), -0.0, v) for v in (x, y)]
+    for v in signed:
+        assert np.any(np.signbit(v) & (v == 0)) and np.any(~np.signbit(v) & (v == 0))
+    tau = empirical_kendall_tau(*signed)
+    assert tau == empirical_kendall_tau(x, y)
+    assert tau == pytest.approx(brute_force_tau(*signed), abs=1e-13)
+
+
+def brute_force_inversions(ranks):
+    r = np.asarray(ranks)
+    return int(np.sum(np.triu(r[:, None] > r[None, :], k=1)))
+
+
+def test_inversions_equal_the_pair_count():
+    # every n up to 70, and n = 2^k - 1, 2^k, 2^k + 1 up to 1 025: full, partial and one-slot last blocks
+    sizes = list(range(1, 71)) + [m for k in range(7, 11) for m in (2**k - 1, 2**k, 2**k + 1)]
+    rng = np.random.default_rng(1966)
+    for n in sizes:
+        for ranks in (rng.permutation(n), rng.integers(0, n // 4 + 1, size=n)):
+            assert estimation._inversions(ranks) == brute_force_inversions(ranks), n
+
+
+def test_inversions_of_equal_and_reversed_ranks():
+    for n in (1, 2, 3, 64, 65, 1025):
+        assert estimation._inversions(np.zeros(n, dtype=np.int64)) == 0
+        assert estimation._inversions(np.arange(n)[::-1]) == n * (n - 1) // 2
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_tau_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
