@@ -65,15 +65,23 @@ def composite_nll(family, params, y, log_y):
     return -float(total)
 
 
+def gumbel_log_generator_sum(phi, lu, lv):
+    """log(lu^phi + lv^phi) for lu = -log u > 0 and lv = -log v > 0, phi >= 1; validates nothing.
+
+    Both powers stay in logs, as max + log1p(exp(-|difference|)), so that neither
+    overflows nor rounds into the other at extreme phi. The Gumbel copula is
+    C(u, v) = exp(-exp(this / phi)), and its density is written over this sum too.
+    """
+    a = phi * np.log(lu)
+    b = phi * np.log(lv)
+    return np.maximum(a, b) + np.log1p(np.exp(-np.abs(a - b)))
+
+
 def gumbel_logpdf(phi, u, v):
     """Log density of the Gumbel copula at (u, v) in (0, 1)^2, phi >= 1; validates nothing."""
     lu = -np.log(u)  # > 0
     lv = -np.log(v)
-    # s = lu^phi + lv^phi computed via logs to survive extreme phi
-    a = phi * np.log(lu)
-    b = phi * np.log(lv)
-    m = np.maximum(a, b)
-    log_s = m + np.log1p(np.exp(-np.abs(a - b)))
+    log_s = gumbel_log_generator_sum(phi, lu, lv)
     w = np.exp(log_s / phi)  # s^(1/phi)
     return (
         -w

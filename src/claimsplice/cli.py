@@ -58,8 +58,12 @@ def _marginal_to_dict(params: CompositeParams, r):
     }
 
 
-def _marginal_from_dict(d):
+def _marginal_from_dict(name, d):
     """Parameters of one marginal; "family" is a model tag or a head name."""
+    if not isinstance(d, dict):
+        raise IngestError(f"{name} must be a JSON object, got {d!r}")
+    if not isinstance(d.get("family"), str):
+        raise IngestError(f'{name}: "family" must be a string, got {d.get("family")!r}')
     head_cls = FAMILIES[family_of_tag(d["family"]) or d["family"]].head
     return CompositeParams(
         head=head_cls(**{f.name: d[f.name] for f in fields(head_cls)}),
@@ -69,11 +73,20 @@ def _marginal_from_dict(d):
 
 
 def load_params_json(path):
-    """Parse a bivariate parameter file into a BivariateModel."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    m1 = CompositeModel(_marginal_from_dict(doc["marginal1"]))
-    m2 = CompositeModel(_marginal_from_dict(doc["marginal2"]))
+    """Parse a bivariate parameter file into a BivariateModel.
+
+    A file that cannot be read or is not shaped as one raises IngestError; a
+    parameter value that is not admissible, a non-number included, ValueError.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise IngestError(f"{path}: a parameter file holds one JSON object, not a {type(doc).__name__}")
+    m1 = CompositeModel(_marginal_from_dict("marginal1", doc["marginal1"]))
+    m2 = CompositeModel(_marginal_from_dict("marginal2", doc["marginal2"]))
     return BivariateModel(m1, m2, GumbelCopula(doc["phi"]))
 
 

@@ -14,7 +14,7 @@ not overflow. The cdf at the threshold equals r by construction.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from claimsplice.families import (
     WeibullParams,
     _check_positive_y,
     _check_prob,
+    _is_finite_number,
     _log1mexp,
 )
 
@@ -36,10 +37,15 @@ _TINY = np.finfo(float).tiny
 
 
 class Family(NamedTuple):
-    """One composite model: its report tag and its head parameter class."""
+    """One composite model: its report tag, its head parameter class and the head's start rule.
+
+    ``start(head_data)`` gives the head parameters, in field order, from which a
+    fit searches, for the observations at or below the starting threshold.
+    """
 
     tag: str
     head: type
+    start: Callable[[np.ndarray], list]
 
     @property
     def dim(self):
@@ -53,11 +59,12 @@ class Family(NamedTuple):
 
 
 # The three composite models, keyed by head name; each splices its head to an
-# Inverse Weibull tail.
+# Inverse Weibull tail. Every head starts from unit shapes; the Weibull scale
+# starts at the head mean, and a rate-like sigma or tau at 1 / the head median.
 FAMILIES = {
-    "weibull": Family("wiw", WeibullParams),
-    "paralogistic": Family("pariw", ParalogisticParams),
-    "invburr": Family("ibiw", InverseBurrParams),
+    "weibull": Family("wiw", WeibullParams, lambda h: [1.0, float(np.mean(h))]),
+    "paralogistic": Family("pariw", ParalogisticParams, lambda h: [1.0, 1.0 / float(np.median(h))]),
+    "invburr": Family("ibiw", InverseBurrParams, lambda h: [1.0, 1.0, 1.0 / float(np.median(h))]),
 }
 TAGS = sorted(f.tag for f in FAMILIES.values())
 
@@ -78,8 +85,8 @@ class CompositeParams:
     def __post_init__(self):
         if self.family is None:
             raise ValueError(f"unsupported head family {type(self.head).__name__}")
-        if not (np.isfinite(self.theta) and self.theta > 0.0):
-            raise ValueError(f"theta must be finite and > 0, got {self.theta!r}")
+        if not (_is_finite_number(self.theta) and self.theta > 0.0):
+            raise ValueError(f"theta must be a finite number > 0, got {self.theta!r}")
 
     @property
     def family(self):

@@ -13,6 +13,7 @@ import numpy as np
 
 from claimsplice import _kernels
 from claimsplice.composite import CompositeModel
+from claimsplice.families import _check_prob, _is_finite_number
 
 # composite cdfs of extreme claims can round to exactly 0 or 1
 PSEUDO_OBS_CLAMP = 1e-10
@@ -24,17 +25,9 @@ def clamp_pseudo_obs(u):
 
 
 def _check_phi(phi):
-    if not (np.isfinite(phi) and phi >= 1.0):
+    if not (_is_finite_number(phi) and phi >= 1.0):
         raise ValueError(f"Gumbel dependence parameter must satisfy phi >= 1, got {phi!r}")
     return float(phi)
-
-
-def _check_uv(u, v):
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if not (np.all((u > 0) & (u < 1)) and np.all((v > 0) & (v < 1))):  # NaN fails both comparisons
-        raise ValueError("u and v must lie strictly inside (0, 1)")
-    return u, v
 
 
 class GumbelCopula:
@@ -44,14 +37,11 @@ class GumbelCopula:
         self.phi = _check_phi(phi)
 
     def cdf(self, u, v):
-        u, v = _check_uv(u, v)
-        p = self.phi
-        s = (-np.log(u)) ** p + (-np.log(v)) ** p
-        return np.exp(-(s ** (1.0 / p)))
+        log_s = _kernels.gumbel_log_generator_sum(self.phi, -np.log(_check_prob(u)), -np.log(_check_prob(v)))
+        return np.exp(-np.exp(log_s / self.phi))
 
     def logpdf(self, u, v):
-        u, v = _check_uv(u, v)
-        return _kernels.gumbel_logpdf(self.phi, u, v)
+        return _kernels.gumbel_logpdf(self.phi, _check_prob(u), _check_prob(v))
 
     def pdf(self, u, v):
         return np.exp(self.logpdf(u, v))
@@ -67,8 +57,7 @@ class GumbelCopula:
 
     def log_likelihood(self, u, v):
         """Sum of copula log densities over clamped pseudo-observation pairs."""
-        u, v = _check_uv(u, v)
-        return -_kernels.gumbel_nll(self.phi, u, v)
+        return -_kernels.gumbel_nll(self.phi, _check_prob(u), _check_prob(v))
 
     def sample(self, n, rng):
         """Draw n (U, V) pairs via the Archimedean frailty construction.

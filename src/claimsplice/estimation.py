@@ -25,7 +25,7 @@ import numpy as np
 from claimsplice import _kernels
 from claimsplice._fork import _forked
 from claimsplice.composite import FAMILIES, TAGS, CompositeModel, CompositeParams, family_of_tag
-from claimsplice.families import InverseWeibullParams
+from claimsplice.families import InverseWeibullParams, _check_positive_y
 from claimsplice.copula import BivariateModel, GumbelCopula, clamp_pseudo_obs
 
 SIMPLEX_SCALE = 0.1  # Nelder-Mead's initial step along each transformed axis
@@ -98,7 +98,7 @@ class FitReport:
         self.df_fixed_thresholds = self.df - 2
         self.aic = aic(self.loglik, self.df)
         self.bic = bic(self.loglik, self.df, self.n)
-        self.model_tau = 1.0 - 1.0 / self.copula.phi
+        self.model_tau = GumbelCopula(self.copula.phi).kendall_tau()
 
     @property
     def model(self):
@@ -141,22 +141,6 @@ def _unpack_theta(theta, lo, hi):
     return math.log(p / (1.0 - p))
 
 
-def _initial_guesses(family, data, theta0):
-    """Crude moment-style starting values given a threshold guess."""
-    head_data = data[data <= theta0]
-    if head_data.size == 0:
-        head_data = data
-    med = float(np.median(head_data))
-    if family == "weibull":
-        head = [1.0, float(np.mean(head_data))]
-    elif family == "paralogistic":
-        head = [1.0, 1.0 / med]
-    else:
-        head = [1.0, 1.0, 1.0 / med]
-    tail = [1.5, theta0]
-    return np.array(head + tail + [theta0])
-
-
 def fit_marginal(data, family, config=None):
     """Maximum-likelihood fit of one composite marginal.
 
@@ -170,15 +154,14 @@ def fit_marginal(data, family, config=None):
     config = config or OptimizerConfig()
     if family not in FAMILIES:
         raise ValueError(f"unknown head family {family!r}; expected one of {sorted(FAMILIES)}")
-    data = np.asarray(data, dtype=float)
-    if np.any(data <= 0) or np.any(~np.isfinite(data)):
-        raise ValueError("all observations must be strictly positive and finite")
+    data = _check_positive_y(data)
     if data.size < MIN_N:
         raise DegenerateDataError(f"need at least {MIN_N} observations, got {data.size}")
     if np.all(data == data[0]):
         raise DegenerateDataError("degenerate sample: all observations are equal")
 
-    head_cls, k = FAMILIES[family].head, FAMILIES[family].dim
+    fam = FAMILIES[family]
+    head_cls, k = fam.head, fam.dim
     lo, hi = float(np.min(data)), float(np.max(data))
     log_data = np.log(data)
 
@@ -191,7 +174,7 @@ def fit_marginal(data, family, config=None):
     total_iter = 0
     for q in [0.5, 0.7, 0.9][: config.restarts]:
         theta0 = float(np.quantile(data, q))
-        raw0 = _initial_guesses(family, data, theta0)
+        raw0 = np.array(fam.start(data[data <= theta0]) + [1.5, theta0, theta0])  # head, alpha, gamma, theta
         x0 = np.concatenate([np.log(raw0[: k + 2]), [_unpack_theta(raw0[k + 2], lo, hi)]])
         res = optimize.minimize(
             objective,
@@ -219,7 +202,7 @@ def fit_marginal(data, family, config=None):
         params=params,
         r=model.r,
         loglik=-float(best.fun),
-        df=FAMILIES[family].df,
+        df=fam.df,
         converged=bool(best.success),
         n_iter=total_iter,
         n=data.size,
@@ -304,26 +287,29 @@ def fit_bivariate_by_tag(y1, y2, tag, config=None):
 # ---------------------------------------------------------------------------
 # dependence diagnostics
 
-def _tied_pairs(*sorted_cols):
-    """Pairs of rows equal in every column, for rows sorted so that equal rows are adjacent."""
-    change = np.logical_or.reduce([col[1:] != col[:-1] for col in sorted_cols])
-    runs = np.diff(np.flatnonzero(np.concatenate(([True], change, [True]))))
-    return int(np.sum(runs * (runs - 1) // 2))
+def _runs(sorted_v):
+    """Where the run of equal values holding each element of ``sorted_v`` starts, and the tied pairs.
+
+    Element i of a run that starts at s ties with the i - s elements before it, so the tied pairs
+    are the sum of i - s over all elements: n(n - 1)/2 minus the sum of the run starts.
+    """
+    n = sorted_v.size
+    first = np.arange(n, dtype=np.int64)
+    first[1:][sorted_v[1:] == sorted_v[:-1]] = 0
+    np.maximum.accumulate(first, out=first)
+    return first, n * (n - 1) // 2 - int(np.sum(first))
 
 
 def _min_ranks(v):
-    """Each value's 0-based rank, equal values sharing the lowest, and ``v`` sorted.
+    """Each value's 0-based rank, equal values sharing the lowest, and the pairs of tied values.
 
     One argsort; each run of equal values takes the position where it starts.
     """
     order = np.argsort(v)
-    sorted_v = v[order]
-    first = np.arange(v.size, dtype=np.int64)
-    first[1:][sorted_v[1:] == sorted_v[:-1]] = 0
-    np.maximum.accumulate(first, out=first)
+    first, ties = _runs(v[order])
     ranks = np.empty_like(first)
     ranks[order] = first
-    return ranks, sorted_v
+    return ranks, ties
 
 
 def _inversions(ranks):
@@ -369,9 +355,10 @@ def empirical_kendall_tau(x, y):
     Each column is ranked by one argsort (``_min_ranks``); one sort of the joint
     keys rank_x * n + rank_y puts the rows in (x, y) order, with the y ranks
     ascending within tied x, so tied-x pairs never count as inversions. The
-    x-, y- and joint ties are run lengths of the sorted columns and keys. The
-    counts are exact integers. The test suite checks it pair-for-pair against
-    an O(n^2) enumeration.
+    x-, y- and joint ties come from the runs of equal values (``_runs``) that
+    ranking finds in each sorted column and in the sorted keys. The counts are
+    exact integers. The test suite checks it pair-for-pair against an O(n^2)
+    enumeration.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -383,14 +370,12 @@ def empirical_kendall_tau(x, y):
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise DegenerateDataError("Kendall's tau undefined for a constant coordinate")
 
-    rank_x, xs = _min_ranks(x)
-    rank_y, ys = _min_ranks(y)
+    rank_x, n1 = _min_ranks(x)  # n1: pairs tied in x
+    rank_y, n2 = _min_ranks(y)  # n2: pairs tied in y
     keys = rank_x * n + rank_y
     keys.sort()
     n0 = n * (n - 1) // 2
-    n1 = _tied_pairs(xs)  # pairs tied in x
-    n2 = _tied_pairs(ys)  # pairs tied in y
-    joint = _tied_pairs(keys)  # pairs tied in both coordinates
+    joint = _runs(keys)[1]  # pairs tied in both coordinates
     swaps = _inversions(keys % n)
     num = n0 - n1 - n2 + joint - 2 * swaps
     return num / math.sqrt((n0 - n1) * (n0 - n2))

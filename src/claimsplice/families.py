@@ -25,6 +25,7 @@ ordinary scales in currency units.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 _LN2 = 0.6931471805599453
+_FLOAT_MAX = float(np.finfo(float).max)  # a Python float, which compares exactly with an int of any size
 
 
 def _softplus(t):
@@ -59,6 +61,11 @@ def _log1mexp(x):
     return np.where(x < _LN2, small, large)
 
 
+def _is_finite_number(v):
+    """Whether v is a real number within the float range: not NaN, inf, a string, None or a bool (which passes as 0 or 1)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= _FLOAT_MAX
+
+
 def _check_positive_y(y):
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0.0) or np.any(~np.isfinite(y)):
@@ -69,7 +76,7 @@ def _check_positive_y(y):
 def _check_prob(u):
     u = np.asarray(u, dtype=float)
     if not np.all((u > 0.0) & (u < 1.0)):  # NaN fails both comparisons
-        raise ValueError("u must lie strictly inside (0, 1)")
+        raise ValueError("probabilities must lie strictly inside (0, 1)")
     return u
 
 
@@ -79,8 +86,8 @@ class _PositiveParamsMixin:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if not (np.isfinite(v) and v > 0.0):
-                raise ValueError(f"{type(self).__name__}.{f.name} must be finite and > 0, got {v!r}")
+            if not (_is_finite_number(v) and v > 0.0):
+                raise ValueError(f"{type(self).__name__}.{f.name} must be a finite number > 0, got {v!r}")
 
     def logpdf(self, y):
         return self.unchecked_logpdf(np.log(_check_positive_y(y)), *astuple(self))

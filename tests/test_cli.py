@@ -254,6 +254,36 @@ def test_simulate_rejects_inadmissible_phi(tmp_path):
     assert run(["simulate", "--params", p, "--n", "10", "--seed", "1"]) == EXIT_PARAMS
 
 
+def _with_marginal1(**changes):
+    return dict(PARAMS_DOC, marginal1=dict(PARAMS_DOC["marginal1"], **changes))
+
+
+@pytest.mark.parametrize("content, code", [
+    pytest.param(json.dumps([PARAMS_DOC]), EXIT_INPUT, id="json-list"),
+    pytest.param(json.dumps(dict(PARAMS_DOC, marginal1=5)), EXIT_INPUT, id="marginal-not-an-object"),
+    pytest.param(json.dumps(_with_marginal1(family=["wiw"])), EXIT_INPUT, id="family-not-a-string"),
+    pytest.param(b'{"phi": "\xe9"}', EXIT_INPUT, id="not-utf8"),
+    pytest.param(None, EXIT_INPUT, id="directory"),
+    pytest.param(json.dumps(_with_marginal1(mu=None)), EXIT_PARAMS, id="mu-null"),
+    pytest.param(json.dumps(_with_marginal1(mu="1.5")), EXIT_PARAMS, id="mu-string"),
+    pytest.param(json.dumps(_with_marginal1(mu=True)), EXIT_PARAMS, id="mu-true"),
+    pytest.param(json.dumps(_with_marginal1(theta=None)), EXIT_PARAMS, id="theta-null"),
+    pytest.param(json.dumps(PARAMS_DOC).replace('"mu": 1.5', '"mu": 1' + "0" * 400), EXIT_PARAMS, id="mu-past-float"),
+    pytest.param(json.dumps(dict(PARAMS_DOC, phi="x")), EXIT_PARAMS, id="phi-string"),
+])
+def test_simulate_reports_a_malformed_parameter_file_without_a_traceback(content, code, tmp_path):
+    p = tmp_path / "params.json"
+    if content is None:
+        p.mkdir()
+    else:
+        p.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    done = subprocess.run([sys.executable, "-m", "claimsplice.cli", "simulate", "--params", str(p), "--n", "3",
+                           "--seed", "1"], env=_env_with_src(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith({EXIT_INPUT: "input error: ", EXIT_PARAMS: "invalid parameters: "}[code])
+
+
 def test_simulate_rejects_zero_n(params_json):
     assert run(["simulate", "--params", params_json, "--n", "0", "--seed", "1"]) == EXIT_INPUT
 

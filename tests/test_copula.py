@@ -60,7 +60,7 @@ def test_density_integrates_to_one():
     assert total == pytest.approx(1.0, abs=1e-4)
 
 
-@pytest.mark.parametrize("phi", [1.0, 1.5, 2.0, 5.0, 20.0])
+@pytest.mark.parametrize("phi", [1.0, 1.5, 2.0, 5.0, 20.0, 100.0, 400.0, 2000.0])
 def test_frechet_hoeffding_bounds(phi):
     c = GumbelCopula(phi)
     g = np.linspace(0.01, 0.99, 50)
@@ -68,6 +68,14 @@ def test_frechet_hoeffding_bounds(phi):
     cc = c.cdf(u, v)
     assert np.all(cc <= np.minimum(u, v) + 1e-12)
     assert np.all(cc >= np.maximum(u + v - 1.0, 0.0) - 1e-12)
+
+
+@pytest.mark.parametrize("phi", [1.0, 1.5, 5.0, 20.0, 100.0, 400.0, 2000.0])
+def test_cdf_diagonal_closed_form(phi):
+    # C(u, u) = exp(-(2 lu^phi)^(1/phi)) = u^(2^(1/phi)), with lu = -log u; lu^phi alone over- or underflows a
+    # double long before phi = 2 000. For tiny u both sides lose |log C| ulps to the exponent, so the grid stops at 0.01
+    u = np.concatenate([np.linspace(0.01, 0.99, 50), 1.0 - np.geomspace(1e-12, 1e-2, 20)])
+    assert GumbelCopula(phi).cdf(u, u) == pytest.approx(u ** (2.0 ** (1.0 / phi)), rel=1e-12, abs=0.0)
 
 
 def test_boundary_behavior():

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from claimsplice import estimation
-from claimsplice.composite import CompositeModel, CompositeParams
+from claimsplice.composite import FAMILIES, CompositeModel, CompositeParams
 from claimsplice.copula import GumbelCopula, clamp_pseudo_obs
 from claimsplice.estimation import (
     DegenerateDataError,
@@ -112,6 +112,50 @@ def test_fit_marginal_validation():
         fit_marginal([1.0, -2.0] * 20, "weibull")
     with pytest.raises(ValueError):
         fit_marginal(np.ones(100), "lognormal")
+
+
+def _initial_guesses(family, data, theta0):
+    """Start values as fit_marginal chose them before the family table held each head's start rule: the oracle."""
+    head_data = data[data <= theta0]
+    if head_data.size == 0:
+        head_data = data
+    med = float(np.median(head_data))
+    if family == "weibull":
+        head = [1.0, float(np.mean(head_data))]
+    elif family == "paralogistic":
+        head = [1.0, 1.0 / med]
+    else:
+        head = [1.0, 1.0, 1.0 / med]
+    tail = [1.5, theta0]
+    return np.array(head + tail + [theta0])
+
+
+@pytest.mark.parametrize("family", ["weibull", "paralogistic", "invburr"])
+def test_fit_marginal_starts_where_the_oracle_does(family, monkeypatch):
+    from scipy import optimize
+
+    starts = []
+    minimize = optimize.minimize
+
+    def spy(fun, x0, **kwargs):
+        starts.append(np.array(x0))
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(optimize, "minimize", spy)
+    k = FAMILIES[family].dim
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        # the last two samples are rounded to tens, so that the start thresholds sit on runs of ties
+        data = CompositeModel(WIW).sample(300, rng) if seed % 2 else rng.lognormal(8.0, 1.2, 300)
+        data = np.round(data, -1) + 10.0 if seed >= 2 else data
+        starts.clear()
+        fit_marginal(data, family, OptimizerConfig(max_iter=1))
+        assert len(starts) == 3
+        lo, hi = float(np.min(data)), float(np.max(data))
+        for q, x0 in zip([0.5, 0.7, 0.9], starts):
+            raw0 = _initial_guesses(family, data, float(np.quantile(data, q)))
+            expected = np.concatenate([np.log(raw0[: k + 2]), [estimation._unpack_theta(raw0[k + 2], lo, hi)]])
+            assert np.array_equal(x0, expected), (seed, q)
 
 
 def test_fit_marginal_scale_equivariance():
