@@ -1,8 +1,19 @@
 """Run one call in a forked child while the calling process goes on with other work.
 
-``fit_bivariate`` fits marginal 2 this way while marginal 1 is fitted in the
-calling process, and ``simulate`` formats the second half of its rows this
-way while the parent writes the first half.
+Three callers do so:
+
+- ``fit_bivariate`` fits marginal 2 in the child while marginal 1 is fitted
+  in the calling process;
+- ``simulate`` formats the second half of its rows in the child while the
+  parent writes the first half;
+- ``eval`` does it twice. ``load_csv`` parses the second half of the file's
+  data lines in the child while the parent parses the first half, and
+  Kendall tau runs in the child while the parent computes the
+  log-likelihood, the KS statistics and the density overlays.
+
+The two forks of ``eval`` apply from ``FORK_MIN_ROWS`` rows up; on fewer
+rows, as where ``os.fork`` does not exist, the work runs in the calling
+process.
 """
 
 from __future__ import annotations
@@ -11,6 +22,10 @@ import contextlib
 import functools
 import os
 import pickle
+
+# One fork and reap costs 3.5-8 ms on a 2-vCPU Xeon (Python 3.11, numpy 2.4). Below this many rows, the work a child
+# would take off the calling process, half of a CSV parse or a Kendall tau, saves too little to pay for it.
+FORK_MIN_ROWS = 32_768
 
 
 def _child_main(wfd, fn, args):
@@ -33,17 +48,23 @@ def _child_main(wfd, fn, args):
         os._exit(code)  # never return into the caller's stack, its finally blocks or atexit
 
 
+def _forks(rows=None):
+    """Whether ``_forked`` forks for a call on ``rows`` rows: where ``os.fork`` exists, from ``FORK_MIN_ROWS`` up."""
+    return hasattr(os, "fork") and (rows is None or rows >= FORK_MIN_ROWS)
+
+
 @contextlib.contextmanager
-def _forked(fn, *args):
+def _forked(fn, *args, rows=None):
     """Start ``fn(*args)`` in a forked child and yield a function that returns its result.
 
     The result, or the exception the call raised, comes back pickled over a
     pipe; ``fn`` itself never crosses it, so a closure works. Leaving the
     block kills a child whose result was not asked for, and reaps the child
-    either way. Where ``os.fork`` does not exist, the yielded function makes
-    the call in-process.
+    either way. Where ``os.fork`` does not exist, or where ``rows``, the
+    number of rows the call works on, is below ``FORK_MIN_ROWS``, the yielded
+    function makes the call in-process when it is asked for the result.
     """
-    if not hasattr(os, "fork"):
+    if not _forks(rows):
         yield functools.partial(fn, *args)
         return
     import signal  # here, so that importing the CLI loads no module it did not load before

@@ -154,10 +154,10 @@ def _text_report(doc):
     return "\n".join(lines)
 
 
-def _ks_statistic(model, data):
-    y = np.sort(np.asarray(data, dtype=float))
-    n = y.size
-    f = model.cdf(y)
+def _ks_statistic(f, y):
+    """KS distance between the claims ``y`` and the marginal whose cdf at ``y`` is ``f``."""
+    f = f[np.argsort(y)]
+    n = f.size
     return float(max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n)))
 
 
@@ -226,27 +226,29 @@ def cmd_simulate(args):
 def cmd_eval(args):
     model = load_params_json(args.params)
     sample = load_csv(args.input, cols=args.cols, strict=args.strict)
-    loglik = model.log_likelihood(sample.claim1, sample.claim2)
-    df = FAMILIES[model.marginal1.params.family].df + FAMILIES[model.marginal2.params.family].df + 1
-    doc = {
-        **_report_head("eval", args, sample),
-        "loglik": loglik,
-        "df": df,
-        "df_fixed_thresholds": df - 2,
-        "aic": aic(loglik, df),
-        "bic": bic(loglik, df, sample.n),
-        "phi": model.copula.phi,
-        "model_tau": model.copula.kendall_tau(),
-        "empirical_tau": empirical_kendall_tau(sample.claim1, sample.claim2),
-        "ks": {
-            "claim1": _ks_statistic(model.marginal1, sample.claim1),
-            "claim2": _ks_statistic(model.marginal2, sample.claim2),
-        },
-        "overlay": {
-            "claim1": _density_overlay(model.marginal1, sample.claim1, args.bins),
-            "claim2": _density_overlay(model.marginal2, sample.claim2, args.bins),
-        },
-    }
+    y1, y2 = sample.claim1, sample.claim2
+    # Kendall tau runs in a forked child meanwhile; it is asked for last, so that an error of the log-likelihood
+    # comes before one of the tau
+    with _forked(empirical_kendall_tau, y1, y2, rows=sample.n) as empirical_tau:
+        f1, f2 = model.marginal1.cdf(y1), model.marginal2.cdf(y2)
+        loglik = model.log_likelihood(y1, y2, cdfs=(f1, f2))
+        df = FAMILIES[model.marginal1.params.family].df + FAMILIES[model.marginal2.params.family].df + 1
+        doc = {
+            **_report_head("eval", args, sample),
+            "loglik": loglik,
+            "df": df,
+            "df_fixed_thresholds": df - 2,
+            "aic": aic(loglik, df),
+            "bic": bic(loglik, df, sample.n),
+            "phi": model.copula.phi,
+            "model_tau": model.copula.kendall_tau(),
+            "ks": {"claim1": _ks_statistic(f1, y1), "claim2": _ks_statistic(f2, y2)},
+            "overlay": {
+                "claim1": _density_overlay(model.marginal1, y1, args.bins),
+                "claim2": _density_overlay(model.marginal2, y2, args.bins),
+            },
+        }
+        doc["empirical_tau"] = empirical_tau()
     _emit(doc, args)
 
 

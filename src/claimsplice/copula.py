@@ -97,10 +97,13 @@ class BivariateModel:
         u, v = self.copula.sample(n, rng)
         return self.marginal1.ppf(u), self.marginal2.ppf(v)
 
-    def log_likelihood(self, y1, y2):
-        """Joint log-likelihood: both marginal sums plus the copula-density sum."""
+    def log_likelihood(self, y1, y2, cdfs=None):
+        """Joint log-likelihood: both marginal sums plus the copula-density sum.
+
+        ``cdfs``, the marginal cdfs at ``y1`` and ``y2`` as ``cdf`` returns them,
+        spares computing them again where the caller already has them.
+        """
         l1 = self.marginal1.log_likelihood(y1)
         l2 = self.marginal2.log_likelihood(y2)
-        u = clamp_pseudo_obs(self.marginal1.cdf(y1))
-        v = clamp_pseudo_obs(self.marginal2.cdf(y2))
-        return l1 + l2 + self.copula.log_likelihood(u, v)
+        f1, f2 = (self.marginal1.cdf(y1), self.marginal2.cdf(y2)) if cdfs is None else cdfs
+        return l1 + l2 + self.copula.log_likelihood(clamp_pseudo_obs(f1), clamp_pseudo_obs(f2))

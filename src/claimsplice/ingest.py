@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
+
+from claimsplice._fork import _forked, _forks
 
 
 class IngestError(ValueError):
@@ -87,23 +92,58 @@ def _sniff(fh, path, cols, delimiter, parse, has_header):
     return _resolve_columns(header, cols), start, line
 
 
+# a character other than a line end: a line of the data that holds one is a row loadtxt parses or rejects
+_NOT_LINE_END = re.compile(r"[^\r\n]")
+
+
+def _loadtxt(lines, idx, delimiter):
+    return np.loadtxt(lines, delimiter=delimiter, usecols=idx, comments=None, ndmin=2, dtype=float)
+
+
+def _loadtxt_after(text, cut, idx, delimiter):
+    """``_loadtxt`` of ``text[cut:]``, cut into lines as a file opened with ``newline=""`` cuts them."""
+    return _loadtxt(io.StringIO(text[cut:], newline=""), idx, delimiter)
+
+
+def _lines_before(text, cut):
+    r"""The lines a file opened with ``newline=""`` yields for ``text[:cut]``: '\n', '\r' and '\r\n' each end one."""
+    n = text.count("\n", 0, cut)
+    if text.find("\r", 0, cut) >= 0:
+        n += text.count("\r", 0, cut) - text.count("\r\n", 0, cut)
+    return n
+
+
 def _columns_by_loadtxt(fh, start, idx, delimiter):
-    """The two columns of the data rows by one ``np.loadtxt`` call, or None where the row loop must decide.
+    r"""The two columns of the data rows by ``np.loadtxt``, or None where the row loop must decide.
 
     The row loop decides a file with a quote or a '#' among its data rows (a
     quoted cell can span lines, and '#' starts a comment only at the start of
     a row), a row ``loadtxt`` cannot parse and a value that is non-finite or
     nonpositive: it alone writes diagnostics. Every number ``loadtxt``
     accepts, ``float`` parses to the same double.
+
+    From ``FORK_MIN_ROWS`` lines up, where ``os.fork`` exists, the text is
+    cut just after the first '\n' at or past its middle, where every line
+    reader ends a line. A forked child parses the lines after the cut from
+    the text it inherits, while this process streams the lines before it
+    from the file, so that it holds no second copy of its half. Any other
+    file, and one with a half that holds no value, is parsed in one call.
     """
     fh.seek(start)
     data = fh.read()
     if "#" in data or '"' in data or not data.strip():
         return None
-    del data  # loadtxt reads the rows again from the file; the text need not stay
+    cut = data.find("\n", len(data) // 2) + 1
+    head = _lines_before(data, cut)
     fh.seek(start)
     try:
-        pairs = np.loadtxt(fh, delimiter=delimiter, usecols=idx, comments=None, ndmin=2, dtype=float)
+        # the halves hold about the same number of lines, so the file holds about twice the first half's
+        if _forks(2 * head) and _NOT_LINE_END.search(data, cut) and _NOT_LINE_END.search(data, 0, cut):
+            with _forked(_loadtxt_after, data, cut, idx, delimiter) as tail:
+                pairs = np.concatenate([_loadtxt(itertools.islice(fh, head), idx, delimiter), tail()])
+        else:
+            del data  # loadtxt reads the rows again from the file; the text need not stay
+            pairs = _loadtxt(fh, idx, delimiter)
     except ValueError:
         return None
     if not np.all((pairs > 0) & (pairs < np.inf)):

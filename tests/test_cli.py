@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import claimsplice
-from claimsplice import cli
+from claimsplice import _fork, cli
 from claimsplice.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_CONVERGENCE,
@@ -20,7 +20,16 @@ from claimsplice.cli import (
 )
 from claimsplice.composite import TAGS, CompositeModel, CompositeParams
 from claimsplice.copula import BivariateModel, GumbelCopula
-from claimsplice.estimation import CopulaFit, FitReport, MarginalFit, OptimizerConfig, aic, bic, fit_bivariate_by_tag
+from claimsplice.estimation import (
+    CopulaFit,
+    DegenerateDataError,
+    FitReport,
+    MarginalFit,
+    OptimizerConfig,
+    aic,
+    bic,
+    fit_bivariate_by_tag,
+)
 from claimsplice.families import InverseWeibullParams, WeibullParams
 from claimsplice.ingest import load_csv
 from tests.test_composite import WIW
@@ -367,6 +376,114 @@ def test_eval_df_and_criteria_follow_the_families(data_csv, tmp_path):
     assert rep["df"] == 5 + 6 + 1 and rep["df_fixed_thresholds"] == 10
     assert rep["aic"] == aic(rep["loglik"], 12)
     assert rep["bic"] == bic(rep["loglik"], 12, 3000)
+
+
+def _ks_of_the_sorted_claims(model, data):
+    """The KS distance as computed before the cdfs were shared: the model cdf of the sorted claims."""
+    y = np.sort(np.asarray(data, dtype=float))
+    n = y.size
+    f = model.cdf(y)
+    return float(max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n)))
+
+
+def test_eval_shares_one_cdf_per_marginal(tied_csv):
+    # KS takes the cdfs in claim order, the log-likelihood clamps them; both equal what a second cdf pass gives
+    y1, y2 = TRUTH.sample_pairs(4000, 3)
+    tied = load_csv(tied_csv, cols="claim1,claim2")
+    for a, b in ((y1, y2), (tied.claim1, tied.claim2)):
+        f1, f2 = TRUTH.marginal1.cdf(a), TRUTH.marginal2.cdf(b)
+        assert TRUTH.log_likelihood(a, b, cdfs=(f1, f2)) == TRUTH.log_likelihood(a, b)
+        assert cli._ks_statistic(f1, a) == _ks_of_the_sorted_claims(TRUTH.marginal1, a)
+        assert cli._ks_statistic(f2, b) == _ks_of_the_sorted_claims(TRUTH.marginal2, b)
+
+
+def test_eval_ks_takes_the_unclamped_cdfs(params_json, tmp_path):
+    # the cdf of 1e15 lies within 1e-10 of 1, where the copula's pseudo-observations are clamped
+    p = tmp_path / "extreme.csv"
+    p.write_text("a,b\n1e-3,1e15\n1e15,1e-3\n", encoding="utf-8")
+    out = tmp_path / "eval.json"
+    assert run(["eval", "--params", params_json, "--input", p, "--cols", "a,b", "--seed", "1", "--out", out]) == EXIT_OK
+    y = [1e-3, 1e15]
+    assert json.loads(out.read_text())["ks"] == {"claim1": _ks_of_the_sorted_claims(TRUTH.marginal1, y),
+                                                 "claim2": _ks_of_the_sorted_claims(TRUTH.marginal2, y)}
+
+
+def _count_forks(monkeypatch):
+    """A list that gets one item for each ``os.fork`` in this process."""
+    forks, real = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+    return forks
+
+
+@pytest.fixture(scope="module")
+def tied_csv(tmp_path_factory):
+    """Claims in whole hundreds, written in cents: most values tie with others."""
+    path = tmp_path_factory.mktemp("tied") / "tied.csv"
+    y1, y2 = (np.ceil(y / 100) * 100 for y in TRUTH.sample_pairs(3000, 7))
+    path.write_text("claim1,claim2\n" + "".join(f"{a:.2f},{b:.2f}\n" for a, b in zip(y1, y2)), encoding="utf-8")
+    return path
+
+
+@needs_fork
+def test_eval_report_is_the_same_in_one_or_two_processes(params_json, tied_csv, tmp_path, monkeypatch):
+    def report(name):
+        out = tmp_path / name
+        assert run(["eval", "--params", params_json, "--input", tied_csv, "--cols", "claim1,claim2",
+                    "--seed", "1", "--out", out]) == EXIT_OK
+        return out.read_bytes()
+
+    forks = _count_forks(monkeypatch)
+    in_process = report("default.json")
+    assert forks == []  # 3 000 rows are below the threshold
+    monkeypatch.setattr(_fork, "FORK_MIN_ROWS", 1)
+    assert report("forked.json") == in_process
+    assert len(forks) == 2  # the second half of the file, and Kendall tau
+    assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    assert report("no-fork.json") == in_process
+
+
+@needs_fork
+def test_eval_of_a_constant_claim_column_exits_3_through_the_forked_tau(params_json, tmp_path, capsys, monkeypatch):
+    p = tmp_path / "constant.csv"
+    p.write_text("a,b\n" + "".join(f"{i + 1},250.5\n" for i in range(200)), encoding="utf-8")
+    args = ["eval", "--params", params_json, "--input", p, "--cols", "a,b", "--seed", "1"]
+    assert run(args) == EXIT_CONVERGENCE
+    in_process = capsys.readouterr().err
+    monkeypatch.setattr(_fork, "FORK_MIN_ROWS", 1)
+    forks = _count_forks(monkeypatch)
+    assert run(args) == EXIT_CONVERGENCE
+    assert capsys.readouterr().err == in_process == "fit error: Kendall's tau undefined for a constant coordinate\n"
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+@needs_fork
+def test_eval_log_likelihood_error_wins_over_the_forked_tau(params_json, tied_csv, capsys, monkeypatch):
+    def fail(exc):
+        def raise_(*args, **kwargs):
+            raise exc
+        return raise_
+
+    monkeypatch.setattr(_fork, "FORK_MIN_ROWS", 1)
+    monkeypatch.setattr(cli, "empirical_kendall_tau", fail(DegenerateDataError("tau failed")))
+    monkeypatch.setattr(BivariateModel, "log_likelihood", fail(ValueError("log-likelihood failed")))
+    assert run(["eval", "--params", params_json, "--input", tied_csv, "--cols", "claim1,claim2",
+                "--seed", "1"]) == EXIT_PARAMS
+    assert capsys.readouterr().err == "invalid parameters: log-likelihood failed\n"
+    assert_no_child_left()
+
+
+@needs_fork
+def test_eval_at_the_papers_sample_size_does_not_fork(params_json, tmp_path, monkeypatch):
+    # one fork and reap costs about as much as the half of the parse or the tau it would take off this process
+    p = tmp_path / "paper.csv"
+    y1, y2 = TRUTH.sample_pairs(7263, 5)
+    p.write_text("a,b\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(y1.tolist(), y2.tolist())), encoding="utf-8")
+    forks = _count_forks(monkeypatch)
+    assert run(["eval", "--params", params_json, "--input", p, "--cols", "a,b", "--seed", "1",
+                "--out", tmp_path / "eval.json"]) == EXIT_OK
+    assert forks == []
 
 
 def test_simulate_fit_round_trip(params_json, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from claimsplice import ingest
+from claimsplice import _fork, ingest
 from claimsplice.ingest import (
     ClaimPairSample,
     IngestError,
@@ -15,6 +15,7 @@ from claimsplice.ingest import (
     summarize_sample,
     write_csv,
 )
+from tests.test_estimation import assert_no_child_left, needs_fork
 
 
 def write(tmp_path, text, name="claims.csv"):
@@ -237,14 +238,8 @@ def csv_files(draw):
     return text, dict(cols=cols, delimiter=delimiter, decimal=decimal)
 
 
-@pytest.mark.parametrize("strict", [False, True])
-@settings(max_examples=300, deadline=None)
-@given(doc=csv_files())
-# loadtxt would read the comment row, the two lines of the quoted cell, and "4" of "4#5" as data
-@example(doc=("a,b,c\n1,1,1\n#2,2,2\n", dict(cols="1,2", delimiter=",", decimal=".")))
-@example(doc=('a,b,c\n1,2,"x\n3,4,y"\n', dict(cols="0,1", delimiter=",", decimal=".")))
-@example(doc=("1,2\n4#5,3\n", dict(cols="0,1", delimiter=",", decimal=".")))
-def test_loadtxt_path_agrees_with_the_row_loop(tmp_path_factory, strict, doc):
+def _agrees_with_the_row_loop(tmp_path_factory, strict, doc):
+    """Assert that ``load_csv`` gives the row loop's outcome on ``doc``; return the path it took."""
     text, options = doc
     p = tmp_path_factory.getbasetemp() / f"fuzz_{strict}.csv"
     p.write_bytes(text.encode("utf-8"))
@@ -256,11 +251,72 @@ def test_loadtxt_path_agrees_with_the_row_loop(tmp_path_factory, strict, doc):
             return str(exc)
         return s.claim1.tobytes(), s.claim2.tobytes(), s.rejected_rows
 
-    with mock.patch.object(ingest, "_rows_by_csv", wraps=ingest._rows_by_csv) as row_loop:
+    with mock.patch.object(ingest, "_rows_by_csv", wraps=ingest._rows_by_csv) as row_loop, \
+            mock.patch.object(ingest, "_forked", wraps=ingest._forked) as split:
         fast = outcome()
     with mock.patch.object(ingest, "_columns_by_loadtxt", return_value=None):
         rows = outcome()
     assert fast == rows
-    if not isinstance(fast, str):
-        event("row loop" if row_loop.called else "loadtxt")
+    path = "error" if isinstance(fast, str) else "row loop" if row_loop.called else "loadtxt"
+    return path + (", split" if split.called else "")
 
+
+@pytest.mark.parametrize("strict", [False, True])
+@settings(max_examples=300, deadline=None)
+@given(doc=csv_files())
+# loadtxt would read the comment row, the two lines of the quoted cell, and "4" of "4#5" as data
+@example(doc=("a,b,c\n1,1,1\n#2,2,2\n", dict(cols="1,2", delimiter=",", decimal=".")))
+@example(doc=('a,b,c\n1,2,"x\n3,4,y"\n', dict(cols="0,1", delimiter=",", decimal=".")))
+@example(doc=("1,2\n4#5,3\n", dict(cols="0,1", delimiter=",", decimal=".")))
+def test_loadtxt_path_agrees_with_the_row_loop(tmp_path_factory, strict, doc):
+    event(_agrees_with_the_row_loop(tmp_path_factory, strict, doc))
+
+
+@needs_fork
+@pytest.mark.parametrize("strict", [False, True])
+@settings(max_examples=300, deadline=None)
+@given(doc=csv_files())
+def test_split_loadtxt_path_agrees_with_the_row_loop(tmp_path_factory, strict, doc):
+    # every file with a '\n' past its middle and a value on each side of it is parsed in two halves, one forked
+    with mock.patch.object(_fork, "FORK_MIN_ROWS", 1):
+        event(_agrees_with_the_row_loop(tmp_path_factory, strict, doc))
+    assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("text, path", [
+    ("a,b\n1,2\n", "loadtxt"),  # one row: the first '\n' past the middle ends the text
+    ("a,b\n1,2\n3,4\n", "loadtxt"),  # two rows, the same
+    ("a,b\n1,2\n3,4", "loadtxt, split"),  # two rows, no line end after the last: one row each side
+    ("a,b\n100000,200000\n3,4\n", "loadtxt, split"),  # the cut is at the last line
+    ("a,b\r\n100000,200000\r\n3,4\r\n", "loadtxt, split"),
+    ("a,b\n1,2\r3,4\r\n5,6\r7,8\n9,10\n", "loadtxt, split"),  # bare '\r' line ends before the cut
+    ("a,b\n100000,200000\n3,4\r5,6\n7,8\n", "loadtxt, split"),  # and after it
+    ("a,b\n1,2\n\n3,4\n\n5,6\n", "loadtxt, split"),  # blank rows
+    ("a,b\r1,2\r3,4\r5,6\r", "loadtxt"),  # no '\n' to cut at
+    ("a,b\n1,2\n\n\n\n\n\n\n", "loadtxt"),  # nothing but line ends after the cut
+    ("a,b\n1,2\n3,4\n5,6\n7,8\nx,9\n", "row loop, split"),  # a bad row in the second half
+    ("a,b\n1,2\n3,4\n5,6\n7,8\nnan,9\n", "row loop, split"),
+    ("a,b\n1,2\n3,4\n5,6\n7,8\n9,0\n", "row loop, split"),
+    ("a,b\r\n1,2\r\n3,4\r\n5,6\r\n7,8\r\n-9,9\r\n", "row loop, split"),
+])
+def test_split_loader_edges(tmp_path_factory, strict, text, path, monkeypatch):
+    monkeypatch.setattr(_fork, "FORK_MIN_ROWS", 1)
+    doc = (text, dict(cols="a,b", delimiter=",", decimal="."))
+    expected = path if not (strict and path.startswith("row loop")) else "error, split"
+    assert _agrees_with_the_row_loop(tmp_path_factory, strict, doc) == expected
+    assert_no_child_left()
+
+
+@needs_fork
+def test_split_loader_names_the_bad_line_of_the_second_half(tmp_path, monkeypatch):
+    monkeypatch.setattr(_fork, "FORK_MIN_ROWS", 1)
+    p = write(tmp_path, "a,b\n" + "".join(f"{i + 1},{i + 2}\n" for i in range(40)) + "1e400,3\n4,-1\n")
+    s = load_csv(p, cols="a,b")
+    assert s.n == 40
+    assert s.rejected_rows == ["row 42: non-finite claim amount (inf, 3.0)",
+                               "row 43: nonpositive claim amount (4.0, -1.0)"]
+    with pytest.raises(IngestError, match="row 42: non-finite"):
+        load_csv(p, cols="a,b", strict=True)
+    assert_no_child_left()
