@@ -11,9 +11,9 @@ Three callers do so:
   Kendall tau runs in the child while the parent computes the
   log-likelihood, the KS statistics and the density overlays.
 
-The two forks of ``eval`` apply from ``FORK_MIN_ROWS`` rows up; on fewer
-rows, as where ``os.fork`` does not exist, the work runs in the calling
-process.
+The two forks of ``eval`` apply from ``FORK_MIN_ROWS`` rows up, and the
+fork of ``simulate`` from ``SIMULATE_FORK_MIN_ROWS`` rows up; on fewer rows,
+as where ``os.fork`` does not exist, the work runs in the calling process.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ import pickle
 # One fork and reap costs 3.5-8 ms on a 2-vCPU Xeon (Python 3.11, numpy 2.4). Below this many rows, the work a child
 # would take off the calling process, half of a CSV parse or a Kendall tau, saves too little to pay for it.
 FORK_MIN_ROWS = 32_768
+# simulate's child formats half of the rows. In alternating in-process runs of simulate with and without its fork
+# (30-40 of each per size, same host) the fork was faster in 12-13 of 30-40 runs at 4 000 rows, in about half at
+# 5 000-6 000, and 24.4 against 29.4 ms (median) at 7 263, the paper's sample size, which must keep forking.
+SIMULATE_FORK_MIN_ROWS = 5_000
 
 
 def _child_main(wfd, fn, args):
@@ -48,23 +52,27 @@ def _child_main(wfd, fn, args):
         os._exit(code)  # never return into the caller's stack, its finally blocks or atexit
 
 
-def _forks(rows=None):
-    """Whether ``_forked`` forks for a call on ``rows`` rows: where ``os.fork`` exists, from ``FORK_MIN_ROWS`` up."""
-    return hasattr(os, "fork") and (rows is None or rows >= FORK_MIN_ROWS)
+def _forks(rows=None, min_rows=None):
+    """Whether ``_forked`` forks for a call on ``rows`` rows: where ``os.fork`` exists, from ``min_rows`` up.
+
+    ``min_rows`` defaults to ``FORK_MIN_ROWS``.
+    """
+    return hasattr(os, "fork") and (rows is None or rows >= (FORK_MIN_ROWS if min_rows is None else min_rows))
 
 
 @contextlib.contextmanager
-def _forked(fn, *args, rows=None):
+def _forked(fn, *args, rows=None, min_rows=None):
     """Start ``fn(*args)`` in a forked child and yield a function that returns its result.
 
     The result, or the exception the call raised, comes back pickled over a
     pipe; ``fn`` itself never crosses it, so a closure works. Leaving the
     block kills a child whose result was not asked for, and reaps the child
     either way. Where ``os.fork`` does not exist, or where ``rows``, the
-    number of rows the call works on, is below ``FORK_MIN_ROWS``, the yielded
-    function makes the call in-process when it is asked for the result.
+    number of rows the call works on, is below ``min_rows`` (default
+    ``FORK_MIN_ROWS``), the yielded function makes the call in-process when
+    it is asked for the result.
     """
-    if not _forks(rows):
+    if not _forks(rows, min_rows):
         yield functools.partial(fn, *args)
         return
     import signal  # here, so that importing the CLI loads no module it did not load before

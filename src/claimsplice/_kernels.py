@@ -10,6 +10,8 @@ copula density), and the model classes evaluate the same functions.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from claimsplice.families import InverseWeibullParams, _softplus
@@ -29,39 +31,76 @@ def splice_constants(head, head_params, alpha, gamma, theta):
     log_tail_sf = InverseWeibullParams.unchecked_logsf(log_theta, alpha, gamma)
     log_a = InverseWeibullParams.unchecked_logpdf(log_theta, alpha, gamma) + log_head_cdf
     log_b = head.unchecked_logpdf(log_theta, *head_params) + log_tail_sf
-    if not (np.isfinite(log_a) or np.isfinite(log_b)):
+    if not (math.isfinite(log_a) or math.isfinite(log_b)):
         return None
     return -_softplus(log_b - log_a), -_softplus(log_a - log_b), log_head_cdf, log_tail_sf
 
 
-def composite_nll(family, params, y, log_y):
+class Sample:
+    """A claim sample as ``composite_nll`` takes it: ``y``, ``log_y`` and the last head/tail split.
+
+    ``log_y`` is taken once, for every call on the sample. The split keeps
+    ``log_y`` of the head (``y <= theta``) and of the tail, each in the order
+    of ``y``, and the head count k it was made at. The sets {y <= theta} are
+    nested in theta, so an equal count means an identical split: a call whose
+    theta lies between the same two order statistics as the last one reuses
+    it. ``len()`` is the number of observations.
+    """
+
+    __slots__ = ("y", "log_y", "_head_count", "_head_log_y", "_tail_log_y")
+
+    def __init__(self, y):
+        self.y = np.asarray(y, dtype=float)
+        self.log_y = np.log(self.y)
+        self._head_count = -1
+
+    def __len__(self):
+        return self.y.size
+
+    def split(self, theta):
+        """(log y of the head, log y of the tail) at ``theta``; both arrays are shared, not to be written to."""
+        in_head = self.y <= theta
+        k = np.count_nonzero(in_head)
+        if k != self._head_count:
+            # each side keeps the order of y: summing in another order (sorted, say) moves the last bits of
+            # the objective, and Nelder-Mead follows them to another optimum on the kinked theta ridge
+            self._head_log_y = np.compress(in_head, self.log_y)
+            self._tail_log_y = np.compress(~in_head, self.log_y)
+            self._head_count = k
+        return self._head_log_y, self._tail_log_y
+
+
+def composite_nll(family, params, sample):
     """Negative log-likelihood of a spliced head/Inverse Weibull tail model.
 
-    ``family`` is the head parameter class (e.g. ``WeibullParams``) and
-    ``params`` the raw vector ``[head..., alpha, gamma, theta]``. ``y`` is
-    the float sample and ``log_y`` its ``np.log``, which the caller takes once
-    for every call on that sample. Observations with ``y <= theta`` fall in
-    the head branch (closed interval). Returns +inf for invalid parameters or
-    for data with zero density.
+    ``family`` is the head parameter class (e.g. ``WeibullParams``),
+    ``params`` the raw vector ``[head..., alpha, gamma, theta]`` and
+    ``sample`` a ``Sample``, which a caller keeps for every call on the same
+    data. Observations with ``y <= theta`` fall in the head branch (closed
+    interval). Returns +inf for invalid parameters or for data with zero
+    density.
     """
-    params = np.asarray(params, dtype=float)
-    if not np.all(np.isfinite(params)) or np.any(params <= 0.0):
-        return np.inf
+    params = [float(p) for p in params]
+    if not all(0.0 < p < math.inf for p in params):  # NaN fails too
+        return math.inf
     *head, alpha, gamma, theta = params
     constants = splice_constants(family, head, alpha, gamma, theta)
     if constants is None:
-        return np.inf
+        return math.inf
     log_r, log_1mr, log_head_cdf, log_tail_sf = constants
 
-    # each side keeps the order of y: summing in another order (sorted, say) moves the last bits of
-    # the objective, and Nelder-Mead follows them to another optimum on the kinked theta ridge
-    in_head = y <= theta
-    head_log_y, tail_log_y = np.compress(in_head, log_y), np.compress(~in_head, log_y)
-    total = np.sum(log_r + family.unchecked_logpdf(head_log_y, *head) - log_head_cdf) + np.sum(
-        log_1mr + InverseWeibullParams.unchecked_logpdf(tail_log_y, alpha, gamma) - log_tail_sf
-    )
-    if not np.isfinite(total):
-        return np.inf
+    head_log_y, tail_log_y = sample.split(theta)
+    # constant and normalizer added in place to each side's fresh terms: x + c = c + x in IEEE arithmetic, so the
+    # bits are those of log_r + terms - log_head_cdf
+    head_terms = family.unchecked_logpdf(head_log_y, *head)
+    head_terms += log_r
+    head_terms -= log_head_cdf
+    tail_terms = InverseWeibullParams.unchecked_logpdf(tail_log_y, alpha, gamma)
+    tail_terms += log_1mr
+    tail_terms -= log_tail_sf
+    total = head_terms.sum() + tail_terms.sum()
+    if not math.isfinite(total):
+        return math.inf
     return -float(total)
 
 

@@ -18,7 +18,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from claimsplice import __version__
+from claimsplice import __version__, _fork
 from claimsplice._fork import _forked
 from claimsplice.composite import FAMILIES, TAGS, CompositeModel, CompositeParams, family_of_tag
 from claimsplice.families import InverseWeibullParams
@@ -211,10 +211,12 @@ def cmd_simulate(args):
         f"phi={model.copula.phi}",
     ]
     # repr of the floats is most of the run time, so a forked child formats rows [n/2, n) into one string while
-    # this process writes rows [0, n/2) line by line, then the child's string; without fork both halves run here
+    # this process writes rows [0, n/2) line by line, then the child's string; below the fork's break-even, as
+    # without fork, both halves run here
     half = args.n // 2
     with (
-        _forked("".join, _csv_rows(y1[half:], y2[half:])) as second_half,
+        _forked("".join, _csv_rows(y1[half:], y2[half:]), rows=args.n, min_rows=_fork.SIMULATE_FORK_MIN_ROWS)
+        as second_half,
         open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as fh,
     ):
         fh.writelines(f"# {m}\n" for m in meta)

@@ -217,7 +217,7 @@ class CompositeModel:
     def log_likelihood(self, data):
         """Sum of log densities over the observations, by the likelihood kernel."""
         data = _check_positive_y(data).ravel()
-        nll = _kernels.composite_nll(type(self.params.head), self.params.as_vector(), data, np.log(data))
+        nll = _kernels.composite_nll(type(self.params.head), self.params.as_vector(), _kernels.Sample(data))
         return -nll
 
     def smoothness_gap(self, h=1e-5):

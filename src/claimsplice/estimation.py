@@ -163,12 +163,12 @@ def fit_marginal(data, family, config=None):
     fam = FAMILIES[family]
     head_cls, k = fam.head, fam.dim
     lo, hi = float(np.min(data)), float(np.max(data))
-    log_data = np.log(data)
+    sample = _kernels.Sample(data)
 
     def objective(x):
         if np.any(np.abs(x) > 700):
             return np.inf
-        return _kernels.composite_nll(head_cls, _pack_params(k, x, lo, hi), data, log_data)
+        return _kernels.composite_nll(head_cls, _pack_params(k, x, lo, hi), sample)
 
     best = None
     total_iter = 0

@@ -50,15 +50,21 @@ def _log1mexp(x):
     """log(1 - exp(-x)) for x >= 0, accurate near both ends; x = 0 gives -inf.
 
     log(-expm1(-x)) below log 2, log1p(-exp(-x)) from log 2 up. A scalar, as in
-    the kernel's splice constants, evaluates only its own branch.
+    the kernel's splice constants, evaluates only its own branch, through the
+    same numpy functions as an array (``math.exp`` rounds differently from
+    ``np.exp``), and takes its -inf at x = 0 without the log of 0.
     """
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):
-        if x.ndim == 0:
-            return np.log(-np.expm1(-x)) if x < _LN2 else np.log1p(-np.exp(-x))
-        small = np.log(-np.expm1(-np.minimum(x, _LN2)))
-        large = np.log1p(-np.exp(-np.maximum(x, _LN2)))
-    return np.where(x < _LN2, small, large)
+    if not isinstance(x, float):  # a Python float or numpy float64 skips the conversion
+        x = np.asarray(x, dtype=float)
+        if x.ndim:
+            with np.errstate(divide="ignore"):
+                small = np.log(-np.expm1(-np.minimum(x, _LN2)))
+                large = np.log1p(-np.exp(-np.maximum(x, _LN2)))
+            return np.where(x < _LN2, small, large)
+        x = float(x)
+    if x == 0.0:
+        return -np.inf
+    return np.log(-np.expm1(-x)) if x < _LN2 else np.log1p(-np.exp(-x))
 
 
 def _is_finite_number(v):

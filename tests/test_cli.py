@@ -179,6 +179,7 @@ def test_simulate_rows_equal_one_process_formatting(params_json, tmp_path, capsy
         monkeypatch.delattr(os, "fork", raising=False)
     elif not hasattr(os, "fork"):
         pytest.skip("the child process needs POSIX fork")
+    monkeypatch.setattr(_fork, "SIMULATE_FORK_MIN_ROWS", 1)
     out = tmp_path / "sim.csv"
     args = ["simulate", "--params", params_json, "--n", n, "--seed", 9]
     assert run(args + (["--out", out] if to_file else [])) == EXIT_OK
@@ -194,6 +195,7 @@ def test_simulate_rows_equal_one_process_formatting(params_json, tmp_path, capsy
 def _rows_failing_in(process, monkeypatch, fail):
     """Make cli's row formatter call ``fail`` in the parent or in the forked child; the other side runs as usual."""
     real, parent = claimsplice.cli._csv_rows, os.getpid()
+    monkeypatch.setattr(_fork, "SIMULATE_FORK_MIN_ROWS", 1)
 
     def rows(y1, y2):
         if (os.getpid() == parent) == (process == "parent"):
@@ -220,6 +222,30 @@ def test_simulate_leaves_no_child_when_its_own_half_fails(params_json, tmp_path,
     _rows_failing_in("parent", monkeypatch, disk_full)
     with pytest.raises(OSError, match="No space left"):
         run(["simulate", "--params", params_json, "--n", "2001", "--seed", "1", "--out", tmp_path / "sim.csv"])
+    assert_no_child_left()
+
+
+def test_simulate_below_its_break_even_never_forks(params_json, tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("simulate forked below its break-even")
+
+    n = _fork.SIMULATE_FORK_MIN_ROWS - 1
+    assert n < 7263  # at the paper's sample size the formatting child still pays
+    monkeypatch.setattr(os, "fork", no_fork)
+    out = tmp_path / "sim.csv"
+    assert run(["simulate", "--params", params_json, "--n", n, "--seed", 4, "--out", out]) == EXIT_OK
+    y1, y2 = TRUTH.sample_pairs(n, 4)
+    assert out.read_text().partition("claim1,claim2\n")[2] == "".join(
+        f"{a!r},{b!r}\n" for a, b in zip(y1.tolist(), y2.tolist())
+    )
+
+
+@needs_fork
+def test_simulate_forks_from_its_break_even(params_json, tmp_path, monkeypatch):
+    forks = _count_forks(monkeypatch)
+    n = _fork.SIMULATE_FORK_MIN_ROWS
+    assert run(["simulate", "--params", params_json, "--n", n, "--seed", 4, "--out", tmp_path / "sim.csv"]) == EXIT_OK
+    assert len(forks) == 1
     assert_no_child_left()
 
 

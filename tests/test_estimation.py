@@ -173,6 +173,15 @@ def test_fit_marginal_scale_equivariance():
     assert f2.loglik == pytest.approx(f1.loglik - data.size * math.log(10.0), rel=1e-4)
 
 
+@pytest.mark.parametrize("family, truth", [("weibull", WIW), ("invburr", IBIW)], ids=["wiw", "ibiw"])
+def test_fit_marginal_loglik_is_scale_equivariant_to_1e6(family, truth):
+    # the likelihood of c * y is that of y less n log c, and the fit finds the same optimum to within 1e-6
+    data = CompositeModel(truth).sample(2000, 23)
+    base = fit_marginal(data, family).loglik
+    for c in (0.01, 10.0, 1024.0):
+        assert fit_marginal(data * c, family).loglik == pytest.approx(base - data.size * math.log(c), rel=0, abs=1e-6)
+
+
 def test_fit_marginal_rate_parameter_scales_inversely():
     data = CompositeModel(PIW).sample(3000, 19)
     f1 = fit_marginal(data, "paralogistic")

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimsplice import _kernels
+from claimsplice import _kernels, estimation
 from claimsplice.composite import FAMILIES as COMPOSITE_FAMILIES
 from claimsplice.composite import CompositeModel
 from claimsplice.copula import GumbelCopula
 from claimsplice.families import InverseWeibullParams, WeibullParams
 from tests.conftest import FAMILIES, random_composite
+from tests.test_composite import IBIW, PIW, WIW
 
 
 def _nll(params, data):
-    return _kernels.composite_nll(type(params.head), params.as_vector(), data, np.log(data))
+    return _kernels.composite_nll(type(params.head), params.as_vector(), _kernels.Sample(data))
 
 
 def _check_nll(params, data):
@@ -73,25 +74,91 @@ PINNED_VECTORS = {
 }
 
 
+def _pinned_data():
+    return np.maximum(np.round(np.random.default_rng(20261018).lognormal(8.0, 1.3, size=4000), 2), 0.01)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_composite_nll_pinned_bits(family):
-    data = np.maximum(np.round(np.random.default_rng(20261018).lognormal(8.0, 1.3, size=4000), 2), 0.01)
+    data = _pinned_data()
     assert np.unique(data).size < data.size  # ties
     first, second, no_theta = PINNED_VECTORS[family]
     head = COMPOSITE_FAMILIES[family].head
     for v in (first, second, no_theta + [float(data[1234])]):  # the last with theta on a data point
-        assert _kernels.composite_nll(head, np.array(v), data, np.log(data)) == _nll_by_boolean_index(head, v, data)
+        assert _kernels.composite_nll(head, np.array(v), _kernels.Sample(data)) == _nll_by_boolean_index(head, v, data)
+
+
+def _theta_walk(data):
+    """Thresholds in the order one ``Sample`` sees them, each with whether the split is the one before it."""
+    values, counts = np.unique(data, return_counts=True)
+    i = values.size // 2
+    lo, mid, hi = values[i], values[i + 1], values[i + 2]  # two neighbouring gaps, (lo, mid) and (mid, hi)
+    tied = values[np.flatnonzero(counts > 1)[-1]]
+    return [
+        (lo + 0.25 * (mid - lo), False),
+        (lo + 0.75 * (mid - lo), True),  # the same gap
+        (lo + 0.75 * (mid - lo), True),  # the same theta
+        (mid + 0.5 * (hi - mid), False),  # the next gap
+        (lo + 0.5 * (mid - lo), False),  # and back
+        (mid, False),  # on the order statistic between the two gaps: y <= theta is head
+        (lo + 0.5 * (mid - lo), False),
+        (tied, False),
+        (values[0], False),
+        (0.5 * values[0], False),  # below the minimum: no head
+        (0.25 * values[0], True),
+        (values[-1], False),  # on the maximum: no tail
+        (2.0 * values[-1], True),  # above it
+        (lo + 0.25 * (mid - lo), False),
+    ]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_composite_nll_reused_sample_equals_the_oracle_along_a_theta_walk(family):
+    data = _pinned_data()
+    head = COMPOSITE_FAMILIES[family].head
+    no_theta = PINNED_VECTORS[family][2]
+    sample = _kernels.Sample(data)
+    assert len(sample) == data.size
+    last = None
+    for theta, reused in _theta_walk(data):
+        v = no_theta + [float(theta)]
+        assert _kernels.composite_nll(head, np.array(v), sample) == _nll_by_boolean_index(head, v, data), theta
+        split = sample.split(theta)
+        assert (last is not None and split[0] is last[0] and split[1] is last[1]) == reused, theta
+        assert split[0].size == np.count_nonzero(data <= theta)
+        last = split
+
+
+def _oracle_kernel(family, params, sample):
+    """``composite_nll`` computed by the boolean-index oracle, with the kernel's +inf cases."""
+    params = np.asarray(params, dtype=float)
+    if not np.all(np.isfinite(params)) or np.any(params <= 0.0):
+        return np.inf
+    *head, alpha, gamma, theta = params
+    if _kernels.splice_constants(family, head, alpha, gamma, theta) is None:
+        return np.inf
+    nll = _nll_by_boolean_index(family, params, sample.y)
+    return nll if np.isfinite(nll) else np.inf
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fit_marginal_is_the_fit_of_the_oracle_kernel(family, monkeypatch):
+    # the optimizer must see the same bits from the kernel as from the oracle: same optimum, same iterations
+    truth = {"weibull": WIW, "paralogistic": PIW, "invburr": IBIW}[family]
+    data = np.maximum(np.round(CompositeModel(truth).sample(500, 1), 2), 0.01)
+    fit = estimation.fit_marginal(data, family)
+    monkeypatch.setattr(_kernels, "composite_nll", _oracle_kernel)
+    assert estimation.fit_marginal(data, family) == fit
 
 
 def test_composite_nll_invalid_params_infinite():
-    data = np.array([1.0, 2.0])
-    log_data = np.log(data)
+    sample = _kernels.Sample(np.array([1.0, 2.0]))
     for bad in ([1.0, -1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 1.0, 1.0, 1.0], [np.nan, 1.0, 1.0, 1.0, 1.0],
                 [1.0, 1.0, 1.0, 1.0, np.inf]):
-        assert _kernels.composite_nll(WeibullParams, np.array(bad), data, log_data) == np.inf
+        assert _kernels.composite_nll(WeibullParams, np.array(bad), sample) == np.inf
     # theta far outside both supports: both continuity terms underflow
     with np.errstate(over="ignore"):
-        assert _kernels.composite_nll(WeibullParams, np.array([5.0, 1e-80, 5.0, 1e80, 1.0]), data, log_data) == np.inf
+        assert _kernels.composite_nll(WeibullParams, np.array([5.0, 1e-80, 5.0, 1e80, 1.0]), sample) == np.inf
 
 
 def test_gumbel_nll_equals_sum_of_logpdf(rng):
