@@ -62,9 +62,10 @@ class GumbelCopula:
     def sample(self, n, rng):
         """Draw n (U, V) pairs via the Archimedean frailty construction.
 
-        A positive stable variate S with index 1/phi (Chambers-Mallows-Stuck)
-        shared across the pair gives U_i = exp(-(E_i / S)^(1/phi)) for unit
-        exponentials E_i. Exact and rejection-free.
+        A positive stable variate S with index a = 1/phi (Chambers-Mallows-Stuck)
+        shared across the pair gives U_i = exp(-(E_i / S)^a) for unit
+        exponentials E_i. Exact and rejection-free. S is drawn in logs, as a log S,
+        which never divides by a, so that no pair turns NaN at large phi.
         """
         if n < 1:
             raise ValueError("n must be >= 1")
@@ -76,11 +77,9 @@ class GumbelCopula:
             a = 1.0 / self.phi
             t = rng.uniform(0.0, np.pi, size=n)
             w = rng.exponential(size=n)
-            s = (
-                (np.sin(a * t) / np.sin(t) ** (1.0 / a))
-                * (np.sin((1.0 - a) * t) / w) ** ((1.0 - a) / a)
-            )
-            uv = np.exp(-((e / s[:, None]) ** a))
+            a_log_s = a * np.log(np.sin(a * t)) - np.log(np.sin(t))
+            a_log_s += (1.0 - a) * (np.log(np.sin((1.0 - a) * t)) - np.log(w))
+            uv = np.exp(-np.exp(a * np.log(e) - a_log_s[:, None]))
         return np.clip(uv[:, 0], 1e-300, 1.0 - 1e-16), np.clip(uv[:, 1], 1e-300, 1.0 - 1e-16)
 
 

@@ -363,8 +363,10 @@ def empirical_kendall_tau(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.size
-    if n < 2 or y.size != n:
-        raise ValueError("need two equal-length samples with n >= 2")
+    if y.size != n:
+        raise ValueError("need two equal-length samples")
+    if n < 2:
+        raise DegenerateDataError(f"Kendall's tau needs at least two observations, got {n}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("Kendall's tau needs finite observations")
     if np.all(x == x[0]) or np.all(y == y[0]):

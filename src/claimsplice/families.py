@@ -5,15 +5,16 @@ Weibull (tail). Each exposes pdf/cdf/quantile plus log-scale variants;
 everything is computed in log space internally so the kernels stay finite
 for claims spanning many orders of magnitude.
 
-Each log-density, log-cdf, log-sf and quantile formula is written once as a
-static method of its parameter class that takes the parameters in field order
-and validates nothing. The density formulas ``unchecked_logpdf``,
-``unchecked_logcdf`` and ``unchecked_logsf`` take ``(log_y, *params)``: log y,
-not y, so that a caller evaluating them many times on one sample takes the log
-once. Every quantile, ``unchecked_ppf_logsf``, takes the log survival log(1 - u)
-so that one far below 1 keeps its precision. The public methods validate y or u
-and pass ``np.log(y)`` or ``np.log1p(-u)``; the likelihood kernels and the
-spliced quantile call the formulas directly.
+Each formula is written once as a static method of its parameter class that
+takes the parameters in field order and validates nothing: ``unchecked_logpdf``,
+the one of ``unchecked_logcdf`` and ``unchecked_logsf`` with a closed form (the
+mixin derives the other: log F = log1mexp(-log S), log S = log1mexp(-log F))
+and ``unchecked_ppf_logsf``. The density formulas take ``(log_y, *params)``:
+log y, not y, so that a caller evaluating them many times on one sample takes
+the log once. The quantile takes the log survival log(1 - u) so that one far
+below 1 keeps its precision. The public methods validate y or u and pass
+``np.log(y)`` or ``np.log1p(-u)``; the likelihood kernels and the spliced
+quantile call the formulas directly.
 
 Scale conventions follow the multiplicative form of the densities: the
 Paralogistic sigma and Inverse Burr tau enter as ``(y * sigma)`` and
@@ -95,6 +96,15 @@ class _PositiveParamsMixin:
             if not (_is_finite_number(v) and v > 0.0):
                 raise ValueError(f"{type(self).__name__}.{f.name} must be a finite number > 0, got {v!r}")
 
+    # the complement rule; each family overrides one side with its closed form, whose negation is exact
+    @classmethod
+    def unchecked_logcdf(cls, log_y, *params):
+        return _log1mexp(-cls.unchecked_logsf(log_y, *params))
+
+    @classmethod
+    def unchecked_logsf(cls, log_y, *params):
+        return _log1mexp(-cls.unchecked_logcdf(log_y, *params))
+
     def logpdf(self, y):
         return self.unchecked_logpdf(np.log(_check_positive_y(y)), *astuple(self))
 
@@ -130,10 +140,6 @@ class WeibullParams(_PositiveParamsMixin):
         return np.log(mu) - np.log(sigma) + (mu - 1.0) * z - np.exp(mu * z)
 
     @staticmethod
-    def unchecked_logcdf(log_y, mu, sigma):
-        return _log1mexp(np.exp(mu * (log_y - np.log(sigma))))
-
-    @staticmethod
     def unchecked_logsf(log_y, mu, sigma):
         return -np.exp(mu * (log_y - np.log(sigma)))
 
@@ -153,11 +159,6 @@ class ParalogisticParams(_PositiveParamsMixin):
     def unchecked_logpdf(log_y, mu, sigma):
         t = mu * (log_y + np.log(sigma))
         return 2.0 * np.log(mu) + t - log_y - (mu + 1.0) * _softplus(t)
-
-    @staticmethod
-    def unchecked_logcdf(log_y, mu, sigma):
-        # 1 - exp(-mu * softplus(t))
-        return _log1mexp(mu * _softplus(mu * (log_y + np.log(sigma))))
 
     @staticmethod
     def unchecked_logsf(log_y, mu, sigma):
@@ -190,10 +191,6 @@ class InverseBurrParams(_PositiveParamsMixin):
         return -mu * _softplus(-sigma * (log_y + np.log(tau)))
 
     @staticmethod
-    def unchecked_logsf(log_y, mu, sigma, tau):
-        return _log1mexp(mu * _softplus(-sigma * (log_y + np.log(tau))))
-
-    @staticmethod
     def unchecked_ppf_logsf(log_s, mu, sigma, tau):
         # (y*tau)^(-sigma) = F^(-1/mu) - 1 = expm1(a) = exp(a) (1 - exp(-a)), raised to -1/sigma factor
         # by factor, so that it cannot overflow where expm1(a) does
@@ -216,10 +213,6 @@ class InverseWeibullParams(_PositiveParamsMixin):
     @staticmethod
     def unchecked_logcdf(log_y, alpha, gamma):
         return -np.exp(alpha * (np.log(gamma) - log_y))
-
-    @staticmethod
-    def unchecked_logsf(log_y, alpha, gamma):
-        return _log1mexp(np.exp(alpha * (np.log(gamma) - log_y)))
 
     @staticmethod
     def unchecked_ppf_logsf(log_s, alpha, gamma):

@@ -255,11 +255,12 @@ def summarize(values):
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise ValueError("need at least two observations to summarize")
-    m2 = np.mean((values - values.mean()) ** 2)
+    # deviations scaled exactly, by a power of two, into [-1, 1], so that their powers neither overflow nor underflow
+    dev = values - values.mean()
+    dev = np.ldexp(dev, -np.frexp(np.max(np.abs(dev)))[1])
+    m2, m3, m4 = (np.mean(dev**k) for k in (2, 3, 4))
     if m2 == 0:
         raise ValueError("degenerate sample: zero variance, skewness undefined")
-    m3 = np.mean((values - values.mean()) ** 3)
-    m4 = np.mean((values - values.mean()) ** 4)
     q1, med, q3 = np.quantile(values, [0.25, 0.5, 0.75])
     return {
         "min": float(values.min()),

@@ -484,6 +484,14 @@ def test_eval_of_a_constant_claim_column_exits_3_through_the_forked_tau(params_j
     assert_no_child_left()
 
 
+def test_eval_of_a_one_row_file_exits_3(params_json, tmp_path, capsys):
+    # like a constant column: the data cannot give a Kendall tau, so it is a fit error and not a parameter error
+    p = tmp_path / "one.csv"
+    p.write_text("a,b\n1200.5,3400.25\n", encoding="utf-8")
+    assert run(["eval", "--params", params_json, "--input", p, "--cols", "a,b", "--seed", "1"]) == EXIT_CONVERGENCE
+    assert capsys.readouterr().err == "fit error: Kendall's tau needs at least two observations, got 1\n"
+
+
 @needs_fork
 def test_eval_log_likelihood_error_wins_over_the_forked_tau(params_json, tied_csv, capsys, monkeypatch):
     def fail(exc):

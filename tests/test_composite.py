@@ -210,6 +210,17 @@ def test_quantile_contract_across_the_weight():
         _check_splice_contract(m, u[(u > 0.0) & (u < 1.0)])
 
 
+@pytest.mark.parametrize("seed,family", [(2093, "invburr"), (2456, "invburr"), (10259, "weibull")])
+def test_quantile_at_the_weight_is_theta_where_the_clamp_binds(seed, family):
+    # heads with r > 1/2 where (1 - u) - (1 - r) clamps to 0 an ulp below r: the quantile of S_H(theta)
+    # at u = r came out an ulp below theta, under the quantile of the u before it, clipped to theta
+    m = CompositeModel(random_composite(family, np.random.default_rng(seed)))
+    assert m.r > 0.5
+    u = _ulps_around(m.r, 3)
+    _check_splice_contract(m, u)
+    assert m.ppf(m.r) == m.theta
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),

@@ -129,6 +129,18 @@ def test_sampled_tau_matches_identity(phi):
     assert empirical_kendall_tau(u, v) == pytest.approx(1 - 1 / phi, abs=0.02)
 
 
+@pytest.mark.parametrize("phi", [100.0, 200.0, 1e3, 1e10, 1e300])
+def test_sample_at_large_phi_stays_finite_and_uniform(phi):
+    # the stable variate raised to phi overflowed here and gave NaN pairs (21 at phi = 100, 1 643 at 200);
+    # a RuntimeWarning fails the test too
+    n = 200_000
+    u, v = GumbelCopula(phi).sample(n, 1)
+    for x in (u, v):
+        assert np.all((x > 0.0) & (x < 1.0))
+        assert np.max(np.abs(np.sort(x) - np.arange(0.5, n) / n)) < 0.01  # Kolmogorov-Smirnov against U(0, 1)
+    assert empirical_kendall_tau(u, v) == pytest.approx(1 - 1 / phi, abs=0.005)
+
+
 def test_sampled_tau_reproduces_reported_value():
     # tau = 0.0663 corresponds to phi = 1/(1 - 0.0663)
     phi = 1.0 / (1.0 - 0.0663)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -216,3 +217,51 @@ def test_one_branch_helpers_raise_no_warning_in_their_domain():
     assert _log1mexp(0.0) == -np.inf and _log1mexp(-0.0) == -np.inf
     assert _log1mexp(np.inf) == 0.0
     assert np.all(np.diff(_log1mexp(grid)) >= 0.0)
+
+
+# The complement side each family once wrote out as its own closed form, kept as the oracle of the side that
+# _PositiveParamsMixin now derives from the other one: (the derived method, its written-out form).
+_WRITTEN_OUT_COMPLEMENTS = {
+    WeibullParams: (
+        "unchecked_logcdf",
+        lambda log_y, mu, sigma: _log1mexp(np.exp(mu * (log_y - np.log(sigma)))),
+    ),
+    ParalogisticParams: (
+        "unchecked_logcdf",
+        lambda log_y, mu, sigma: _log1mexp(mu * _softplus(mu * (log_y + np.log(sigma)))),
+    ),
+    InverseBurrParams: (
+        "unchecked_logsf",
+        lambda log_y, mu, sigma, tau: _log1mexp(mu * _softplus(-sigma * (log_y + np.log(tau)))),
+    ),
+    InverseWeibullParams: (
+        "unchecked_logsf",
+        lambda log_y, alpha, gamma: _log1mexp(np.exp(alpha * (np.log(gamma) - log_y))),
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", list(_WRITTEN_OUT_COMPLEMENTS), ids=lambda c: c.__name__)
+def test_each_family_states_exactly_one_of_log_cdf_and_log_sf(cls):
+    derived, _ = _WRITTEN_OUT_COMPLEMENTS[cls]
+    stated = {"unchecked_logcdf", "unchecked_logsf"} - {derived}
+    assert [name for name in ("unchecked_logcdf", "unchecked_logsf") if name in vars(cls)] == list(stated)
+
+
+@pytest.mark.parametrize("cls", list(_WRITTEN_OUT_COMPLEMENTS), ids=lambda c: c.__name__)
+def test_derived_side_equals_the_written_out_complement_bit_for_bit(cls):
+    derived, oracle = _WRITTEN_OUT_COMPLEMENTS[cls]
+    rng = np.random.default_rng(17)
+    log_y = np.concatenate([[-745.0, -709.0, -1.0, 0.0, 1.0, 709.0, 745.0], np.linspace(-745.0, 745.0, 1001),
+                            rng.uniform(-745.0, 745.0, 1000)])
+    dim = len(fields(cls))
+    for _ in range(100):
+        # shapes across [0.05, 20], scales and rates across 1e-8 to 1e8
+        params = [float(np.exp(rng.uniform(np.log(0.05), np.log(20.0)))) for _ in range(dim - 1)]
+        params.append(float(np.exp(rng.uniform(np.log(1e-8), np.log(1e8)))))
+        with np.errstate(over="ignore"):  # exp(mu * z) overflows to inf at the ends, on both sides alike
+            assert _same_bits(getattr(cls, derived)(log_y, *params), oracle(log_y, *params))
+            # the scalar path, as the splice constants take it
+            for x in log_y[::50]:
+                got, want = getattr(cls, derived)(float(x), *params), oracle(float(x), *params)
+                assert type(got) is type(want) and _same_bits(got, want)

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -160,6 +161,27 @@ def test_summarize_constant_data_errors():
 def test_summarize_kurtosis_not_excess(rng):
     vals = rng.normal(size=200_000)
     assert summarize(vals)["kurtosis"] == pytest.approx(3.0, abs=0.1)
+
+
+def _unscaled_skewness_and_kurtosis(vals):
+    """The moments from the deviations as they are, which summarize took until it scaled them (oracle)."""
+    m2 = np.mean((vals - vals.mean()) ** 2)
+    return np.mean((vals - vals.mean()) ** 3) / m2**1.5, np.mean((vals - vals.mean()) ** 4) / m2**2
+
+
+@pytest.mark.parametrize("power", [-400, 400])
+def test_summarize_moments_do_not_depend_on_the_claim_scale(rng, power):
+    # at 2^+-400 (about 1e+-120) the cubes and fourth powers of the deviations overflow or underflow unscaled.
+    # Scaled by a power of two, the deviations of vals and of 2^400 vals are the same doubles, so their moments
+    # are equal; against the unscaled ones, m2^1.5 and m2^2 (libm pow, not correctly rounded) may differ by an ulp
+    vals = rng.lognormal(mean=8.0, sigma=1.5, size=2000)
+    s = summarize(vals)
+    assert (s["skewness"], s["kurtosis"]) == pytest.approx(_unscaled_skewness_and_kurtosis(vals), rel=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = summarize(np.ldexp(vals, power))
+    assert (scaled["skewness"], scaled["kurtosis"]) == (s["skewness"], s["kurtosis"])
+    assert scaled["mean"] == np.ldexp(s["mean"], power)
 
 
 def test_summarize_sample_shape(rng):
