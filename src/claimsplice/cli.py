@@ -27,10 +27,9 @@ from claimsplice.estimation import (
     ConvergenceError,
     DegenerateDataError,
     OptimizerConfig,
-    _fit_stages,
-    aic,
-    bic,
+    criteria,
     empirical_kendall_tau,
+    fit_bivariate,
 )
 from claimsplice.ingest import IngestError, histogram_export, load_csv, summarize_sample
 
@@ -90,7 +89,7 @@ def load_params_json(path):
     return BivariateModel(m1, m2, GumbelCopula(doc["phi"]))
 
 
-def _report_from_fit(tag, rep):
+def _report_from_fit(tag, rep, empirical_tau):
     return {
         "model": tag,
         "converged": rep.marginal1.converged and rep.marginal2.converged and rep.copula.converged,
@@ -102,7 +101,7 @@ def _report_from_fit(tag, rep):
         "phi": rep.copula.phi,
         "phi_at_boundary": rep.copula.at_boundary,
         "model_tau": rep.model_tau,
-        "empirical_tau": rep.empirical_tau,
+        "empirical_tau": empirical_tau,
         "marginal1": _marginal_to_dict(rep.marginal1.params, rep.marginal1.r),
         "marginal2": _marginal_to_dict(rep.marginal2.params, rep.marginal2.r),
     }
@@ -180,12 +179,9 @@ def cmd_fit(args):
     fits = {}
     for tag in tags:
         fam = family_of_tag(tag)
-        fits[tag] = _fit_stages(sample.claim1, sample.claim2, fam, fam, config)
+        fits[tag] = fit_bivariate(sample.claim1, sample.claim2, fam, fam, config)
     tau = empirical_kendall_tau(sample.claim1, sample.claim2)  # depends on the data alone: one for every model
-    models = []
-    for tag, rep in fits.items():
-        rep.empirical_tau = tau
-        models.append(_report_from_fit(tag, rep))
+    models = [_report_from_fit(tag, rep, tau) for tag, rep in fits.items()]
     models.sort(key=lambda m: (m["aic"], m["bic"]))
     doc = {
         **_report_head("fit", args, sample),
@@ -234,14 +230,11 @@ def cmd_eval(args):
     with _forked(empirical_kendall_tau, y1, y2, rows=sample.n) as empirical_tau:
         f1, f2 = model.marginal1.cdf(y1), model.marginal2.cdf(y2)
         loglik = model.log_likelihood(y1, y2, cdfs=(f1, f2))
-        df = FAMILIES[model.marginal1.params.family].df + FAMILIES[model.marginal2.params.family].df + 1
+        df1, df2 = (FAMILIES[m.params.family].df for m in (model.marginal1, model.marginal2))
         doc = {
             **_report_head("eval", args, sample),
             "loglik": loglik,
-            "df": df,
-            "df_fixed_thresholds": df - 2,
-            "aic": aic(loglik, df),
-            "bic": bic(loglik, df, sample.n),
+            **criteria(loglik, df1, df2, sample.n),
             "phi": model.copula.phi,
             "model_tau": model.copula.kendall_tau(),
             "ks": {"claim1": _ks_statistic(f1, y1), "claim2": _ks_statistic(f2, y2)},

@@ -18,18 +18,19 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from claimsplice import _kernels
 from claimsplice._fork import _forked
-from claimsplice.composite import FAMILIES, TAGS, CompositeModel, CompositeParams, family_of_tag
+from claimsplice.composite import FAMILIES, CompositeModel, CompositeParams
 from claimsplice.families import InverseWeibullParams, _check_positive_y
 from claimsplice.copula import BivariateModel, GumbelCopula, clamp_pseudo_obs
 
 SIMPLEX_SCALE = 0.1  # Nelder-Mead's initial step along each transformed axis
 MIN_N = 20  # fewest observations a marginal fit accepts
+# the largest log-parameter whose exp is a finite double: the log of the largest double is 709.78
+MAX_LOG_PARAM = math.floor(math.log(np.finfo(float).max))
 
 
 class ConvergenceError(RuntimeError):
@@ -89,15 +90,10 @@ class FitReport:
     aic: float = field(init=False)
     bic: float = field(init=False)
     model_tau: float = field(init=False)
-    empirical_tau: Optional[float] = None
 
     def __post_init__(self):
         self.loglik = self.marginal1.loglik + self.marginal2.loglik + self.copula.loglik
-        self.df = self.marginal1.df + self.marginal2.df + 1
-        # alternative accounting that leaves the threshold out of each marginal count
-        self.df_fixed_thresholds = self.df - 2
-        self.aic = aic(self.loglik, self.df)
-        self.bic = bic(self.loglik, self.df, self.n)
+        vars(self).update(criteria(self.loglik, self.marginal1.df, self.marginal2.df, self.n))
         self.model_tau = GumbelCopula(self.copula.phi).kendall_tau()
 
     @property
@@ -117,6 +113,17 @@ def bic(loglik, df, n):
     if df < 1 or n < 1:
         raise ValueError("df >= 1 and n >= 1 required")
     return -2.0 * loglik + math.log(n) * df
+
+
+def criteria(loglik, df1, df2, n):
+    """The model-selection keys of a report: df, df_fixed_thresholds, aic and bic.
+
+    ``loglik`` is the joint log-likelihood of ``n`` pairs under two marginals of
+    ``df1`` and ``df2`` free parameters. The Gumbel phi adds one parameter to
+    ``df``; ``df_fixed_thresholds`` leaves the two thresholds out of the count.
+    """
+    df = df1 + df2 + 1
+    return {"df": df, "df_fixed_thresholds": df - 2, "aic": aic(loglik, df), "bic": bic(loglik, df, n)}
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +173,7 @@ def fit_marginal(data, family, config=None):
     sample = _kernels.Sample(data)
 
     def objective(x):
-        if np.any(np.abs(x) > 700):
+        if np.any(np.abs(x) > MAX_LOG_PARAM):
             return np.inf
         return _kernels.composite_nll(head_cls, _pack_params(k, x, lo, hi), sample)
 
@@ -241,20 +248,15 @@ def fit_copula(u, v, config=None):
 
 
 def fit_bivariate(y1, y2, family1, family2, config=None):
-    """Full two-stage fit of the bivariate composite model, with the data's empirical Kendall tau.
+    """Two-stage (IFM) fit of the bivariate composite model: both marginals, then phi on their pseudo-observations.
 
     Marginal 2 is fitted in a forked child while marginal 1 is fitted here;
     each fit runs the same code on the same data as a call of
     ``fit_marginal``. Stage failures carry the stage identity in the raised
-    error message, and marginal 1's failure is the one reported.
+    error message, and marginal 1's failure is the one reported. The data's
+    own Kendall tau is not part of the fit: ``empirical_kendall_tau(y1, y2)``
+    gives it.
     """
-    report = _fit_stages(y1, y2, family1, family2, config)
-    report.empirical_tau = empirical_kendall_tau(y1, y2)
-    return report
-
-
-def _fit_stages(y1, y2, family1, family2, config):
-    """``fit_bivariate`` without the empirical tau, which depends on the data alone."""
     import scipy.optimize  # noqa: F401  (loaded before the fork, so the child does not import it again)
 
     y1 = np.asarray(y1, dtype=float)
@@ -274,14 +276,6 @@ def _fit_stages(y1, y2, family1, family2, config):
     except (ValueError, RuntimeError) as exc:
         raise type(exc)(f"stage 2, copula: {exc}") from exc
     return FitReport(marginal1=fits[0], marginal2=fits[1], copula=cop, n=y1.size)
-
-
-def fit_bivariate_by_tag(y1, y2, tag, config=None):
-    """Fit using a composite-model tag ('wiw', 'pariw', 'ibiw') for both marginals."""
-    fam = family_of_tag(tag)
-    if fam is None:
-        raise ValueError(f"unknown model tag {tag!r}; expected one of {TAGS}")
-    return fit_bivariate(y1, y2, fam, fam, config)
 
 
 # ---------------------------------------------------------------------------

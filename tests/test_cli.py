@@ -18,7 +18,7 @@ from claimsplice.cli import (
     _report_from_fit,
     main,
 )
-from claimsplice.composite import TAGS, CompositeModel, CompositeParams
+from claimsplice.composite import FAMILIES, CompositeModel, CompositeParams
 from claimsplice.copula import BivariateModel, GumbelCopula
 from claimsplice.estimation import (
     CopulaFit,
@@ -28,7 +28,8 @@ from claimsplice.estimation import (
     OptimizerConfig,
     aic,
     bic,
-    fit_bivariate_by_tag,
+    empirical_kendall_tau,
+    fit_bivariate,
 )
 from claimsplice.families import InverseWeibullParams, WeibullParams
 from claimsplice.ingest import load_csv
@@ -111,12 +112,14 @@ def test_fit_all_computes_the_empirical_tau_once(data_csv, tmp_path, monkeypatch
     assert run(["fit", "--input", data_csv, "--cols", "tcost_bi,tcost_pd", "--family", "all", "--seed", "1",
                 "--restarts", "1", "--max-iter", "300", "--out", out]) == EXIT_OK
     assert len(calls) == 1
-    # the report that fitting each tag with its own tau gives, as fit_bivariate_by_tag does for library callers
+    # the report that a library caller builds from one fit_bivariate per tag and one tau
     sample = load_csv(data_csv, cols="tcost_bi,tcost_pd")
     config = OptimizerConfig(max_iter=300, restarts=1)
+    data_tau = empirical_kendall_tau(sample.claim1, sample.claim2)
     doc = json.loads(out.read_text())
     doc["models"] = sorted(
-        (_report_from_fit(tag, fit_bivariate_by_tag(sample.claim1, sample.claim2, tag, config)) for tag in TAGS),
+        (_report_from_fit(f.tag, fit_bivariate(sample.claim1, sample.claim2, name, name, config), data_tau)
+         for name, f in FAMILIES.items()),
         key=lambda m: (m["aic"], m["bic"]),
     )
     assert out.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -145,7 +148,7 @@ def test_fit_report_converged_covers_the_copula(copula_converged):
         return MarginalFit("weibull", params, CompositeModel(params).r, -100.0, 5, True, 50, 100)
 
     rep = FitReport(marginal(WIW), marginal(WIW2), CopulaFit(1.5, 10.0, False, copula_converged), n=100)
-    assert _report_from_fit("wiw", rep)["converged"] is copula_converged
+    assert _report_from_fit("wiw", rep, 0.2)["converged"] is copula_converged
 
 
 def test_fit_text_format(data_csv, tmp_path):
@@ -404,6 +407,25 @@ def test_eval_df_and_criteria_follow_the_families(data_csv, tmp_path):
     assert rep["bic"] == bic(rep["loglik"], 12, 3000)
 
 
+def test_eval_of_a_fit_reproduces_its_numbers(data_csv, tmp_path):
+    # fit and eval take df, AIC and BIC from one rule, so eval of the fitted parameters repeats the fit's report
+    fit_out = tmp_path / "fit.json"
+    assert run(["fit", "--input", data_csv, "--cols", "tcost_bi,tcost_pd", "--family", "all", "--seed", "1",
+                "--out", fit_out]) == EXIT_OK
+    keys = ("loglik", "df", "df_fixed_thresholds", "aic", "bic", "phi", "model_tau", "empirical_tau")
+    # at phi = 1 fit sets the copula loglik to exactly 0, where eval computes it
+    models = [m for m in json.loads(fit_out.read_text())["models"] if not m["phi_at_boundary"]]
+    assert models
+    for m in models:
+        params = tmp_path / f"{m['model']}.json"
+        params.write_text(json.dumps({k: m[k] for k in ("marginal1", "marginal2", "phi")}), encoding="utf-8")
+        out = tmp_path / f"{m['model']}-eval.json"
+        assert run(["eval", "--params", params, "--input", data_csv, "--cols", "tcost_bi,tcost_pd",
+                    "--seed", "1", "--out", out]) == EXIT_OK
+        ev = json.loads(out.read_text())
+        assert {k: ev[k] for k in keys} == {k: m[k] for k in keys}, m["model"]
+
+
 def _ks_of_the_sorted_claims(model, data):
     """The KS distance as computed before the cdfs were shared: the model cdf of the sorted claims."""
     y = np.sort(np.asarray(data, dtype=float))
@@ -518,6 +540,22 @@ def test_eval_at_the_papers_sample_size_does_not_fork(params_json, tmp_path, mon
     assert run(["eval", "--params", params_json, "--input", p, "--cols", "a,b", "--seed", "1",
                 "--out", tmp_path / "eval.json"]) == EXIT_OK
     assert forks == []
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="descriptors are counted in /proc/self/fd")
+def test_forked_commands_leave_no_descriptor_and_no_child(params_json, tmp_path, monkeypatch):
+    # above FORK_MIN_ROWS simulate forks once and eval twice; each fork opens a pipe that must be closed again
+    sim, out = tmp_path / "sim.csv", tmp_path / "eval.json"
+    forks = _count_forks(monkeypatch)
+    before = len(os.listdir("/proc/self/fd"))
+    for seed in range(5):
+        assert run(["simulate", "--params", params_json, "--n", "40001", "--seed", seed, "--out", sim]) == EXIT_OK
+        assert run(["eval", "--strict", "--params", params_json, "--input", sim, "--cols", "claim1,claim2",
+                    "--seed", "1", "--out", out]) == EXIT_OK
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert len(forks) == 15
+    assert_no_child_left()
 
 
 def test_simulate_fit_round_trip(params_json, tmp_path):
