@@ -58,12 +58,13 @@ def _marginal_to_dict(params: CompositeParams, r):
 
 
 def _marginal_from_dict(name, d):
-    """Parameters of one marginal; "family" is a model tag or a head name."""
+    """Parameters of one marginal; "family" is its model tag, as reports write it."""
     if not isinstance(d, dict):
         raise IngestError(f"{name} must be a JSON object, got {d!r}")
-    if not isinstance(d.get("family"), str):
-        raise IngestError(f'{name}: "family" must be a string, got {d.get("family")!r}')
-    head_cls = FAMILIES[family_of_tag(d["family"]) or d["family"]].head
+    family = family_of_tag(d.get("family"))
+    if family is None:
+        raise IngestError(f'{name}: "family" must be one of the model tags {", ".join(TAGS)}, got {d.get("family")!r}')
+    head_cls = FAMILIES[family].head
     return CompositeParams(
         head=head_cls(**{f.name: d[f.name] for f in fields(head_cls)}),
         tail=InverseWeibullParams(alpha=d["alpha"], gamma=d["gamma"]),

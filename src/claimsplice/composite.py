@@ -220,15 +220,3 @@ class CompositeModel:
         data = _check_positive_y(data).ravel()
         nll = _kernels.composite_nll(type(self.params.head), self.params.as_vector(), _kernels.Sample(data))
         return -nll
-
-    def smoothness_gap(self, h=1e-5):
-        """Diagnostic: relative mismatch of left/right pdf derivatives at theta.
-
-        The splice is continuous by construction but generally not
-        differentiable; this reports |f'(theta-) - f'(theta+)| / f(theta).
-        """
-        th = self.theta
-        step = h * th
-        left = (self.pdf(th) - self.pdf(th - step)) / step
-        right = (self.pdf(th + 2.0 * step) - self.pdf(th + step)) / step
-        return float(abs(left - right) / self.pdf(th))

@@ -65,11 +65,10 @@ def _holds_values(row):
     return bool(row) and any(f.strip() for f in row) and not row[0].lstrip().startswith("#")
 
 
-def _sniff(fh, path, cols, delimiter, parse, has_header):
+def _sniff(fh, path, cols, delimiter, parse):
     """Column indices of ``cols``, and the file position and line number of the first data row.
 
-    The first row that holds values is the header if ``has_header`` says so or,
-    with ``has_header`` None, if one of its cells fails to parse as a number.
+    The first row that holds values is the header if one of its cells fails to parse as a number.
     """
     reader = csv.reader(iter(fh.readline, ""), delimiter=delimiter)  # readline, unlike next, keeps tell()
     start, line = fh.tell(), 1
@@ -79,16 +78,12 @@ def _sniff(fh, path, cols, delimiter, parse, has_header):
         start, line = fh.tell(), reader.line_num + 1
     else:
         raise IngestError(f"{path}: no rows")
-    header = None
-    if has_header or has_header is None:
-        try:
-            [parse(f) for f in first]
-            headerless = True
-        except ValueError:
-            headerless = False
-        if has_header or not headerless:
-            header = [f.strip() for f in first]
-            start, line = fh.tell(), reader.line_num + 1
+    try:
+        [parse(f) for f in first]
+        header = None
+    except ValueError:
+        header = [f.strip() for f in first]
+        start, line = fh.tell(), reader.line_num + 1
     return _resolve_columns(header, cols), start, line
 
 
@@ -198,7 +193,7 @@ def _not_utf8(path, exc):
     return IngestError(f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start} ({exc.reason})")
 
 
-def load_csv(path, cols="0,1", delimiter=",", decimal=".", strict=False, has_header=None):
+def load_csv(path, cols="0,1", delimiter=",", decimal=".", strict=False):
     """Load a two-column claim-pair sample from a CSV file.
 
     ``cols`` selects the two columns by header name or 0-based index.
@@ -209,8 +204,7 @@ def load_csv(path, cols="0,1", delimiter=",", decimal=".", strict=False, has_hea
     UTF-8 byte order mark is ignored. A file that is not UTF-8 is an
     IngestError naming the offset of its first bad byte.
     ``decimal`` supports European exports (e.g. decimal=',').
-    ``has_header`` of None sniffs: a first row that fails numeric parsing
-    is treated as a header.
+    A first row that fails numeric parsing is the header.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
@@ -222,7 +216,7 @@ def load_csv(path, cols="0,1", delimiter=",", decimal=".", strict=False, has_hea
 
     with fh:
         try:
-            idx, start, line = _sniff(fh, path, cols, delimiter, parse, has_header)
+            idx, start, line = _sniff(fh, path, cols, delimiter, parse)
             if decimal == ".":
                 sample = _columns_by_loadtxt(fh, start, idx, delimiter)
                 if sample is not None:
@@ -233,14 +227,14 @@ def load_csv(path, cols="0,1", delimiter=",", decimal=".", strict=False, has_hea
             raise _not_utf8(path, exc) from exc
 
 
-def write_csv(sample, path, header=("claim1", "claim2"), metadata=None):
-    """Write a sample back out; full-precision repr round-trips exactly."""
+def write_csv(sample, path, metadata=None):
+    """Write a sample back out under the header ``claim1,claim2``; full-precision repr round-trips exactly."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if metadata:
             for line in metadata:
                 fh.write(f"# {line}\n")
         w = csv.writer(fh)
-        w.writerow(header)
+        w.writerow(("claim1", "claim2"))
         for a, b in zip(sample.claim1, sample.claim2):
             w.writerow([repr(float(a)), repr(float(b))])
 
@@ -278,15 +272,10 @@ def summarize_sample(sample):
     return {"claim1": summarize(sample.claim1), "claim2": summarize(sample.claim2), "n": sample.n}
 
 
-def histogram_export(values, bins=30, log_scale=False):
-    """Histogram data for one coordinate: counts sum to n, edges span [min, max]."""
+def histogram_export(values, bins=30):
+    """Histogram data for one coordinate over linear bins: counts sum to n, edges span [min, max]."""
     values = np.asarray(values, dtype=float)
     if values.size < 1 or bins < 1:
         raise ValueError("need n >= 1 and bins >= 1")
-    if log_scale:
-        edges = np.geomspace(values.min(), values.max(), bins + 1)
-        edges[0], edges[-1] = values.min(), values.max()
-    else:
-        edges = np.linspace(values.min(), values.max(), bins + 1)
-    counts, edges = np.histogram(values, bins=edges)
+    counts, edges = np.histogram(values, bins=np.linspace(values.min(), values.max(), bins + 1))
     return {"edges": edges.tolist(), "counts": counts.tolist()}

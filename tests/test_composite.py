@@ -374,11 +374,3 @@ def test_log_likelihood_rejects_nonpositive():
     m = CompositeModel(WIW)
     with pytest.raises(ValueError):
         m.log_likelihood([100.0, -1.0])
-
-
-def test_smoothness_gap_reports_kink():
-    # continuity is imposed, differentiability is not: the diagnostic
-    # should see a kink for generic parameters
-    gap = CompositeModel(WIW).smoothness_gap()
-    assert np.isfinite(gap)
-    assert gap > 1e-8

@@ -203,14 +203,6 @@ def test_histogram_counts_sum_to_n(rng):
         assert sum(h["counts"]) == 500
 
 
-def test_histogram_log_bins_hand_fixture():
-    # values 1..1000, 3 log bins: edges 1, 10, 100, 1000
-    vals = [1.0, 5.0, 9.0, 50.0, 500.0, 1000.0]
-    h = histogram_export(vals, bins=3, log_scale=True)
-    assert h["edges"] == pytest.approx([1.0, 10.0, 100.0, 1000.0], rel=1e-12)
-    assert h["counts"] == [3, 1, 2]
-
-
 def test_sample_invariants():
     with pytest.raises(IngestError):
         ClaimPairSample([1.0], [2.0, 3.0])
