@@ -121,37 +121,21 @@ def _report_head(command, args, sample):
     }
 
 
+def _open_out(path):
+    """``path`` opened for writing; one that cannot be opened, a directory included, is an input error."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise IngestError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(doc, args):
-    text = json.dumps(doc, sort_keys=True, indent=2) if args.format == "json" else _text_report(doc)
+    text = json.dumps(doc, sort_keys=True, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_out(args.out) as fh:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _text_report(doc):
-    lines = []
-    if "models" in doc:
-        lines.append(f"{'model':8} {'df':>3} {'loglik':>14} {'AIC':>14} {'BIC':>14} {'tau':>8}")
-        for m in doc["models"]:
-            lines.append(
-                f"{m['model']:8} {m['df']:>3} {m['loglik']:>14.2f} {m['aic']:>14.2f} "
-                f"{m['bic']:>14.2f} {m['model_tau']:>8.4f}"
-            )
-        lines.append("")
-        for m in doc["models"]:
-            lines.append(f"[{m['model']}] phi={m['phi']:.4f}")
-            for side in ("marginal1", "marginal2"):
-                p = m[side]
-                tau_s = "--" if p["tau"] is None else f"{p['tau']:.6g}"
-                lines.append(
-                    f"  {side}: mu={p['mu']:.6g} sigma={p['sigma']:.6g} tau={tau_s} "
-                    f"alpha={p['alpha']:.6g} gamma={p['gamma']:.6g} theta={p['theta']:.6g} r={p['r']:.4f}"
-                )
-    else:
-        lines.append(json.dumps(doc, sort_keys=True, indent=2))
-    return "\n".join(lines)
 
 
 def _ks_statistic(f, y):
@@ -214,7 +198,7 @@ def cmd_simulate(args):
     with (
         _forked("".join, _csv_rows(y1[half:], y2[half:]), rows=args.n, min_rows=_fork.SIMULATE_FORK_MIN_ROWS)
         as second_half,
-        open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as fh,
+        _open_out(args.out) if args.out else contextlib.nullcontext(sys.stdout) as fh,
     ):
         fh.writelines(f"# {m}\n" for m in meta)
         fh.write("claim1,claim2\n")
@@ -260,7 +244,6 @@ def build_parser():
             sp.add_argument("--strict", action="store_true", help="abort on any bad row")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", choices=["json", "text"], default="json")
 
     f = sub.add_parser("fit", help="fit one or all composite families")
     common(f)
@@ -309,7 +292,7 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except (IngestError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (IngestError, json.JSONDecodeError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ConvergenceError, DegenerateDataError) as exc:

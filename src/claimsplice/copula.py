@@ -49,12 +49,6 @@ class GumbelCopula:
     def kendall_tau(self):
         return 1.0 - 1.0 / self.phi
 
-    @staticmethod
-    def from_kendall_tau(tau):
-        if not 0.0 <= tau < 1.0:
-            raise ValueError(f"Gumbel copula requires tau in [0, 1), got {tau!r}")
-        return GumbelCopula(1.0 / (1.0 - tau))
-
     def log_likelihood(self, u, v):
         """Sum of copula log densities over clamped pseudo-observation pairs."""
         return -_kernels.gumbel_nll(self.phi, _check_prob(u), _check_prob(v))

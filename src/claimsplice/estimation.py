@@ -25,7 +25,7 @@ from claimsplice import _kernels
 from claimsplice._fork import _forked
 from claimsplice.composite import FAMILIES, CompositeModel, CompositeParams
 from claimsplice.families import InverseWeibullParams, _check_positive_y
-from claimsplice.copula import BivariateModel, GumbelCopula, clamp_pseudo_obs
+from claimsplice.copula import GumbelCopula, clamp_pseudo_obs
 
 SIMPLEX_SCALE = 0.1  # Nelder-Mead's initial step along each transformed axis
 MIN_N = 20  # fewest observations a marginal fit accepts
@@ -95,10 +95,6 @@ class FitReport:
         self.loglik = self.marginal1.loglik + self.marginal2.loglik + self.copula.loglik
         vars(self).update(criteria(self.loglik, self.marginal1.df, self.marginal2.df, self.n))
         self.model_tau = GumbelCopula(self.copula.phi).kendall_tau()
-
-    @property
-    def model(self):
-        return BivariateModel(self.marginal1.model, self.marginal2.model, GumbelCopula(self.copula.phi))
 
 
 def aic(loglik, df):

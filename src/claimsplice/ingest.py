@@ -44,8 +44,8 @@ class ClaimPairSample:
         return self.claim1.size
 
 
-def _resolve_columns(header, cols):
-    """Map a column spec (two names or two 0-based indices) onto the header."""
+def _resolve_columns(header, width, cols):
+    """Map a column spec (two names or two 0-based indices) onto the header; an index must be below ``width``."""
     parts = [c.strip() for c in cols.split(",")]
     if len(parts) != 2:
         raise IngestError(f"column spec must name exactly two columns, got {cols!r}")
@@ -53,10 +53,12 @@ def _resolve_columns(header, cols):
     for p in parts:
         if header is not None and p in header:
             idx.append(header.index(p))
-        elif p.isdigit():
-            idx.append(int(p))
-        else:
+        elif not (p.isascii() and p.isdigit()):
             raise IngestError(f"column {p!r} not found in header {header!r}")
+        elif int(p) >= width:
+            raise IngestError(f"column {p} is out of range: the first row holds {width} cell(s)")
+        else:
+            idx.append(int(p))
     return idx
 
 
@@ -65,12 +67,12 @@ def _holds_values(row):
     return bool(row) and any(f.strip() for f in row) and not row[0].lstrip().startswith("#")
 
 
-def _sniff(fh, path, cols, delimiter, parse):
+def _sniff(fh, path, cols):
     """Column indices of ``cols``, and the file position and line number of the first data row.
 
     The first row that holds values is the header if one of its cells fails to parse as a number.
     """
-    reader = csv.reader(iter(fh.readline, ""), delimiter=delimiter)  # readline, unlike next, keeps tell()
+    reader = csv.reader(iter(fh.readline, ""))  # readline, unlike next, keeps tell()
     start, line = fh.tell(), 1
     for first in reader:
         if _holds_values(first):
@@ -79,25 +81,25 @@ def _sniff(fh, path, cols, delimiter, parse):
     else:
         raise IngestError(f"{path}: no rows")
     try:
-        [parse(f) for f in first]
+        [float(f) for f in first]
         header = None
     except ValueError:
         header = [f.strip() for f in first]
         start, line = fh.tell(), reader.line_num + 1
-    return _resolve_columns(header, cols), start, line
+    return _resolve_columns(header, len(first), cols), start, line
 
 
 # a character other than a line end: a line of the data that holds one is a row loadtxt parses or rejects
 _NOT_LINE_END = re.compile(r"[^\r\n]")
 
 
-def _loadtxt(lines, idx, delimiter):
-    return np.loadtxt(lines, delimiter=delimiter, usecols=idx, comments=None, ndmin=2, dtype=float)
+def _loadtxt(lines, idx):
+    return np.loadtxt(lines, delimiter=",", usecols=idx, comments=None, ndmin=2, dtype=float)
 
 
-def _loadtxt_after(text, cut, idx, delimiter):
+def _loadtxt_after(text, cut, idx):
     """``_loadtxt`` of ``text[cut:]``, cut into lines as a file opened with ``newline=""`` cuts them."""
-    return _loadtxt(io.StringIO(text[cut:], newline=""), idx, delimiter)
+    return _loadtxt(io.StringIO(text[cut:], newline=""), idx)
 
 
 def _lines_before(text, cut):
@@ -108,7 +110,7 @@ def _lines_before(text, cut):
     return n
 
 
-def _columns_by_loadtxt(fh, start, idx, delimiter):
+def _columns_by_loadtxt(fh, start, idx):
     r"""The two columns of the data rows by ``np.loadtxt``, or None where the row loop must decide.
 
     The row loop decides a file with a quote or a '#' among its data rows (a
@@ -134,11 +136,11 @@ def _columns_by_loadtxt(fh, start, idx, delimiter):
     try:
         # the halves hold about the same number of lines, so the file holds about twice the first half's
         if _forks(2 * head) and _NOT_LINE_END.search(data, cut) and _NOT_LINE_END.search(data, 0, cut):
-            with _forked(_loadtxt_after, data, cut, idx, delimiter) as tail:
-                pairs = np.concatenate([_loadtxt(itertools.islice(fh, head), idx, delimiter), tail()])
+            with _forked(_loadtxt_after, data, cut, idx) as tail:
+                pairs = np.concatenate([_loadtxt(itertools.islice(fh, head), idx), tail()])
         else:
             del data  # loadtxt reads the rows again from the file; the text need not stay
-            pairs = _loadtxt(fh, idx, delimiter)
+            pairs = _loadtxt(fh, idx)
     except ValueError:
         return None
     if not np.all((pairs > 0) & (pairs < np.inf)):
@@ -147,9 +149,9 @@ def _columns_by_loadtxt(fh, start, idx, delimiter):
     return ClaimPairSample(c1, c2)
 
 
-def _rows_by_csv(fh, line, idx, path, parse, strict, delimiter):
+def _rows_by_csv(fh, line, idx, path, strict):
     """The data rows from the position of ``fh``, which is on line ``line``, parsed one at a time."""
-    reader = csv.reader(fh, delimiter=delimiter)
+    reader = csv.reader(fh)
     c1, c2, rejected = [], [], []
     lines_read = 0
     for row in reader:
@@ -157,7 +159,7 @@ def _rows_by_csv(fh, line, idx, path, parse, strict, delimiter):
         if not _holds_values(row):
             continue
         try:
-            v1, v2 = parse(row[idx[0]]), parse(row[idx[1]])
+            v1, v2 = float(row[idx[0]]), float(row[idx[1]])
         except (ValueError, IndexError):
             msg = f"row {rownum}: unparseable values {row!r}"
         else:
@@ -193,36 +195,32 @@ def _not_utf8(path, exc):
     return IngestError(f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start} ({exc.reason})")
 
 
-def load_csv(path, cols="0,1", delimiter=",", decimal=".", strict=False):
-    """Load a two-column claim-pair sample from a CSV file.
+def load_csv(path, cols="0,1", strict=False):
+    """Load a two-column claim-pair sample from a comma-delimited CSV file with '.' decimals.
 
-    ``cols`` selects the two columns by header name or 0-based index.
+    ``cols`` selects the two columns by header name or 0-based index; an
+    index must be below the cell count of the first row that holds values.
     Rows with nonpositive, non-finite (nan, inf, or overflowing such as
     1e400) or unparseable values are rejected with a diagnostic that names
     the row's line in the file; in strict mode the first bad row aborts.
     Blank rows and rows whose first cell starts with '#' are skipped, and a
     UTF-8 byte order mark is ignored. A file that is not UTF-8 is an
-    IngestError naming the offset of its first bad byte.
-    ``decimal`` supports European exports (e.g. decimal=',').
+    IngestError naming the offset of its first bad byte. A ';'-delimited
+    export with decimal commas is not read: convert it first.
     A first row that fails numeric parsing is the header.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
-
-    def parse(tok):
-        return float(tok.replace(decimal, ".") if decimal != "." else tok)
-
     with fh:
         try:
-            idx, start, line = _sniff(fh, path, cols, delimiter, parse)
-            if decimal == ".":
-                sample = _columns_by_loadtxt(fh, start, idx, delimiter)
-                if sample is not None:
-                    return sample
+            idx, start, line = _sniff(fh, path, cols)
+            sample = _columns_by_loadtxt(fh, start, idx)
+            if sample is not None:
+                return sample
             fh.seek(start)
-            return _rows_by_csv(fh, line, idx, path, parse, strict, delimiter)
+            return _rows_by_csv(fh, line, idx, path, strict)
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from exc
 

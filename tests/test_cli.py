@@ -151,14 +151,6 @@ def test_fit_report_converged_covers_the_copula(copula_converged):
     assert _report_from_fit("wiw", rep, 0.2)["converged"] is copula_converged
 
 
-def test_fit_text_format(data_csv, tmp_path):
-    out = tmp_path / "report.txt"
-    assert run(["fit", "--input", data_csv, "--cols", "tcost_bi,tcost_pd", "--family", "wiw",
-                "--seed", "1", "--out", out, "--format", "text", "--restarts", "1"]) == EXIT_OK
-    text = out.read_text()
-    assert "AIC" in text and "wiw" in text
-
-
 def test_simulate_writes_metadata_and_is_deterministic(params_json, tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
@@ -330,6 +322,34 @@ def test_parameter_file_names_a_family_by_its_model_tag_only(family, tmp_path, c
     assert run(["simulate", "--params", p, "--n", "3", "--seed", "1"]) == EXIT_INPUT
     assert capsys.readouterr().err == (
         f'input error: marginal1: "family" must be one of the model tags ibiw, pariw, wiw, got {family!r}\n')
+
+
+@pytest.mark.parametrize("header", [True, False], ids=["header", "no-header"])
+@pytest.mark.parametrize("cols, message", [
+    ("\u00b2,1", "column '\u00b2' not found in header {header}"),  # "²".isdigit() holds, but int("²") fails
+    ("99999999999999999999,1", "column 99999999999999999999 is out of range: the first row holds 2 cell(s)"),
+    ("0,2", "column 2 is out of range: the first row holds 2 cell(s)"),
+], ids=["superscript-two", "past-any-index", "past-the-row"])
+def test_fit_cols_that_name_no_column_are_input_errors(header, cols, message, tmp_path, capsys):
+    p = tmp_path / "claims.csv"
+    p.write_text(("a,b\n" if header else "") + "".join(f"{i + 1},{i + 2}\n" for i in range(30)), encoding="utf-8")
+    assert run(["fit", "--input", p, "--cols", cols, "--family", "wiw", "--seed", "1"]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {message.format(header=['a', 'b'] if header else None)}\n"
+
+
+@pytest.mark.parametrize("cmd", [["simulate", "--n", "3"], ["simulate", "--n", "5000"], ["eval"], ["fit"]],
+                         ids=["simulate", "simulate-forked", "eval", "fit"])
+@pytest.mark.parametrize("out", ["directory", "missing-parent"])
+def test_an_out_that_cannot_be_opened_is_an_input_error(cmd, out, params_json, data_csv, tmp_path, capsys):
+    path = tmp_path if out == "directory" else tmp_path / "missing" / "out.json"
+    paths = {"fit": ["--input", data_csv, "--cols", "tcost_bi,tcost_pd", "--family", "wiw", "--restarts", "1",
+                     "--max-iter", "100"],
+             "eval": ["--input", data_csv, "--cols", "tcost_bi,tcost_pd", "--params", params_json],
+             "simulate": ["--params", params_json]}[cmd[0]]
+    assert run(cmd + paths + ["--seed", "1", "--out", path]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"input error: cannot write {path}: ")
+    if hasattr(os, "fork"):
+        assert_no_child_left()
 
 
 def test_simulate_rejects_zero_n(params_json):

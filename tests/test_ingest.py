@@ -1,3 +1,4 @@
+import contextlib
 import warnings
 from unittest import mock
 
@@ -85,16 +86,21 @@ def test_utf8_byte_order_mark_is_ignored(tmp_path, text, cols):
     assert s.claim1.tolist() == [1.0, 3.0] and s.claim2.tolist() == [2.0, 4.0]
 
 
-@pytest.mark.parametrize("decimal, delimiter", [(".", ","), (",", ";")], ids=["loadtxt", "row-loop"])
+@pytest.mark.parametrize("path", ["loadtxt", "row-loop"])
 @pytest.mark.parametrize("rows", [1, 5000], ids=["first-buffer", "later-buffer"])
-def test_non_utf8_input_is_an_ingest_error_naming_the_byte_offset(tmp_path, decimal, delimiter, rows):
+def test_non_utf8_input_is_an_ingest_error_naming_the_byte_offset(tmp_path, path, rows):
     # a Latin-1 export: 0xe9 is "é"; past the text reader's first buffer the offset still counts from the file start
-    head = b"\xef\xbb\xbfa" + delimiter.encode() + b"b\n" + b"".join(b"%d%s%d\n" % (i + 1, delimiter.encode(), i + 2)
-                                                                for i in range(rows))
+    head = b"\xef\xbb\xbfa,b\n" + b"".join(b"%d,%d\n" % (i + 1, i + 2) for i in range(rows))
     p = tmp_path / "latin1.csv"
     p.write_bytes(head + b"caf\xe9\n")
-    with pytest.raises(IngestError, match=rf"latin1.csv: not UTF-8: byte 0xe9 at offset {len(head) + 3} "):
-        load_csv(p, cols="a,b", delimiter=delimiter, decimal=decimal)
+    # the header's sniff decodes the first buffer, and the fast path reads the whole text before it looks for a '#'
+    # row: only a declined fast path reaches the row loop, and only past the first buffer
+    declined = mock.patch.object(ingest, "_columns_by_loadtxt", return_value=None)
+    with declined if path == "row-loop" else contextlib.nullcontext(), \
+            mock.patch.object(ingest, "_rows_by_csv", wraps=ingest._rows_by_csv) as row_loop, \
+            pytest.raises(IngestError, match=rf"latin1.csv: not UTF-8: byte 0xe9 at offset {len(head) + 3} "):
+        load_csv(p, cols="a,b")
+    assert row_loop.called == (path == "row-loop" and rows > 1)
 
 
 def test_missing_column(tmp_path):
@@ -114,11 +120,22 @@ def test_no_valid_rows(tmp_path):
         load_csv(p, cols="a,b")
 
 
-def test_european_delimiters(tmp_path):
-    p = write(tmp_path, "a;b\n1,5;2,25\n3;4\n")
-    s = load_csv(p, cols="a,b", delimiter=";", decimal=",")
-    assert s.claim1.tolist() == [1.5, 3.0]
-    assert s.claim2.tolist() == [2.25, 4.0]
+SEMICOLON_EXPORTS = {
+    "header": ("tcost_bi;tcost_pd\n1500,5;220,25\n3000;400\n12,5;7\n", ["tcost_bi,tcost_pd", "0,1", "1,0"]),
+    "no-header": ("1500,5;220,25\n3000;400\n12,5;7\n12;7,25\n", ["0,1", "1,0"]),
+    "integers": ("1500;220\n3000;400\n", ["0,1"]),
+}
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("export", SEMICOLON_EXPORTS)
+def test_semicolon_decimal_comma_export_is_an_ingest_error(tmp_path, export, strict):
+    # files are comma-delimited with '.' decimals: no row of a ';' export parses into two numbers
+    text, specs = SEMICOLON_EXPORTS[export]
+    p = write(tmp_path, text)
+    for cols in specs:
+        with pytest.raises(IngestError):
+            load_csv(p, cols=cols, strict=strict)
 
 
 def test_round_trip_full_precision(tmp_path, rng):
@@ -224,19 +241,17 @@ BAD_CELLS = st.sampled_from([
 @st.composite
 def csv_files(draw):
     """Text of a claims file, with the options to load it by."""
-    delimiter = draw(st.sampled_from([",", ";", "\t"]))
-    decimal = draw(st.sampled_from([".", ","])) if delimiter != "," else "."
     width = draw(st.integers(2, 3))
     cells = st.one_of(CLEAN_CELLS, BAD_CELLS) if draw(st.booleans()) else CLEAN_CELLS
-    row = st.lists(cells, min_size=width - 1, max_size=width + 1).map(delimiter.join)
-    clean_row = st.lists(CLEAN_CELLS, min_size=width, max_size=width).map(delimiter.join)
+    row = st.lists(cells, min_size=width - 1, max_size=width + 1).map(",".join)
+    clean_row = st.lists(CLEAN_CELLS, min_size=width, max_size=width).map(",".join)
     odd_rows = st.one_of(
-        st.sampled_from(["", "  ", delimiter, "# note"]),
+        st.sampled_from(["", "  ", ",", "# note"]),
         # comments whose other cells parse
         clean_row.map(lambda r: "#" + r),
         clean_row.map(lambda r: " #" + r),
         # a quoted cell over two lines, both of which parse as rows on their own
-        st.tuples(clean_row, clean_row).map(lambda rr: f'{rr[0]}{delimiter}"x\n{rr[1]}{delimiter}y"'),
+        st.tuples(clean_row, clean_row).map(lambda rr: f'{rr[0]},"x\n{rr[1]},y"'),
     )
     rows = draw(st.lists(st.one_of(row, odd_rows) if draw(st.booleans()) else row, min_size=1, max_size=12))
     header = draw(st.sampled_from([None, ["a", "b", "c"][:width], ['"a"', "b", "c"][:width]]))
@@ -246,10 +261,10 @@ def csv_files(draw):
         names += ["1,2", "2,1"] + (["b,c"] if header else [])
     cols = draw(st.sampled_from(names))
     lines = draw(st.lists(st.sampled_from(["# meta", ""]), max_size=2))
-    lines += ([delimiter.join(header)] if header else []) + rows
+    lines += ([",".join(header)] if header else []) + rows
     eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = draw(st.sampled_from(["", "\ufeff"])) + eol.join(lines) + draw(st.sampled_from(["", eol]))
-    return text, dict(cols=cols, delimiter=delimiter, decimal=decimal)
+    return text, dict(cols=cols)
 
 
 def _agrees_with_the_row_loop(tmp_path_factory, strict, doc):
@@ -279,9 +294,9 @@ def _agrees_with_the_row_loop(tmp_path_factory, strict, doc):
 @settings(max_examples=300, deadline=None)
 @given(doc=csv_files())
 # loadtxt would read the comment row, the two lines of the quoted cell, and "4" of "4#5" as data
-@example(doc=("a,b,c\n1,1,1\n#2,2,2\n", dict(cols="1,2", delimiter=",", decimal=".")))
-@example(doc=('a,b,c\n1,2,"x\n3,4,y"\n', dict(cols="0,1", delimiter=",", decimal=".")))
-@example(doc=("1,2\n4#5,3\n", dict(cols="0,1", delimiter=",", decimal=".")))
+@example(doc=("a,b,c\n1,1,1\n#2,2,2\n", dict(cols="1,2")))
+@example(doc=('a,b,c\n1,2,"x\n3,4,y"\n', dict(cols="0,1")))
+@example(doc=("1,2\n4#5,3\n", dict(cols="0,1")))
 def test_loadtxt_path_agrees_with_the_row_loop(tmp_path_factory, strict, doc):
     event(_agrees_with_the_row_loop(tmp_path_factory, strict, doc))
 
@@ -317,7 +332,7 @@ def test_split_loadtxt_path_agrees_with_the_row_loop(tmp_path_factory, strict, d
 ])
 def test_split_loader_edges(tmp_path_factory, strict, text, path, monkeypatch):
     monkeypatch.setattr(_fork, "FORK_MIN_ROWS", 1)
-    doc = (text, dict(cols="a,b", delimiter=",", decimal="."))
+    doc = (text, dict(cols="a,b"))
     expected = path if not (strict and path.startswith("row loop")) else "error, split"
     assert _agrees_with_the_row_loop(tmp_path_factory, strict, doc) == expected
     assert_no_child_left()
