@@ -23,6 +23,7 @@ import numpy as np
 
 from claimsplice import _kernels
 from claimsplice._fork import _forked
+from claimsplice._search import bounded_minimum, nelder_mead
 from claimsplice.composite import FAMILIES, CompositeModel, CompositeParams
 from claimsplice.families import InverseWeibullParams, _check_positive_y
 from claimsplice.copula import GumbelCopula, clamp_pseudo_obs
@@ -62,8 +63,9 @@ class MarginalFit:
     loglik: float
     df: int
     converged: bool
-    n_iter: int
+    n_iter: int  # Nelder-Mead iterations, summed over the starts
     n: int
+    searches: tuple = ()  # one _search.Search per start, in start order
 
     @property
     def model(self):
@@ -152,8 +154,6 @@ def fit_marginal(data, family, config=None):
     keeps the best local maximum. The search is deterministic from its
     start, so a fourth start would repeat the first.
     """
-    from scipy import optimize  # imported on first use: it makes up most of a CLI start
-
     config = config or OptimizerConfig()
     if family not in FAMILIES:
         raise ValueError(f"unknown head family {family!r}; expected one of {sorted(FAMILIES)}")
@@ -173,30 +173,20 @@ def fit_marginal(data, family, config=None):
             return np.inf
         return _kernels.composite_nll(head_cls, _pack_params(k, x, lo, hi), sample)
 
-    best = None
-    total_iter = 0
+    best_x, best, searches = None, None, []
     for q in [0.5, 0.7, 0.9][: config.restarts]:
         theta0 = float(np.quantile(data, q))
         raw0 = np.array(fam.start(data[data <= theta0]) + [1.5, theta0, theta0])  # head, alpha, gamma, theta
         x0 = np.concatenate([np.log(raw0[: k + 2]), [_unpack_theta(raw0[k + 2], lo, hi)]])
-        res = optimize.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": config.max_iter,
-                "fatol": config.tol,
-                "xatol": 1e-8,
-                "initial_simplex": x0 + SIMPLEX_SCALE * np.vstack([np.zeros_like(x0), np.eye(x0.size)]),
-            },
-        )
-        total_iter += res.nit
-        if best is None or res.fun < best.fun:
-            best = res
+        simplex = x0 + SIMPLEX_SCALE * np.vstack([np.zeros_like(x0), np.eye(x0.size)])
+        x, search = nelder_mead(objective, simplex, config.max_iter, 1e-8, config.tol)
+        searches.append(search)
+        if best is None or search.fun < best.fun:
+            best_x, best = x, search
 
     if not np.isfinite(best.fun):
         raise ConvergenceError(f"no finite likelihood found for family {family!r}")
-    raw = _pack_params(k, best.x, lo, hi)
+    raw = _pack_params(k, best_x, lo, hi)
     tail = InverseWeibullParams(alpha=raw[k], gamma=raw[k + 1])
     params = CompositeParams(head=head_cls(*raw[:k]), tail=tail, theta=float(raw[k + 2]))
     model = CompositeModel(params)
@@ -204,11 +194,12 @@ def fit_marginal(data, family, config=None):
         family=family,
         params=params,
         r=model.r,
-        loglik=-float(best.fun),
+        loglik=-best.fun,
         df=fam.df,
-        converged=bool(best.success),
-        n_iter=total_iter,
+        converged=best.success,
+        n_iter=sum(search.nit for search in searches),
         n=data.size,
+        searches=tuple(searches),
     )
 
 
@@ -222,8 +213,6 @@ def fit_copula(u, v, config=None):
     boundary (phi = 1, log-likelihood 0) is compared against the interior
     optimum explicitly.
     """
-    from scipy import optimize
-
     config = config or OptimizerConfig()
     u = clamp_pseudo_obs(u)
     v = clamp_pseudo_obs(v)
@@ -233,14 +222,13 @@ def fit_copula(u, v, config=None):
     def objective(eta):
         return _kernels.gumbel_nll(1.0 + math.exp(eta), u, v)
 
-    res = optimize.minimize_scalar(objective, bounds=(-15.0, 8.0), method="bounded",
-                                   options={"xatol": 1e-10, "maxiter": config.max_iter})
-    phi = 1.0 + math.exp(res.x)
-    loglik = -float(res.fun)
+    eta, search = bounded_minimum(objective, -15.0, 8.0, 1e-10, config.max_iter)
+    phi = 1.0 + math.exp(eta)
+    loglik = -search.fun
     # the boundary phi = 1 has log-likelihood exactly 0
     if loglik <= 0.0 or phi <= 1.0 + 1e-6:
         phi, loglik = 1.0, 0.0
-    return CopulaFit(phi=phi, loglik=loglik, at_boundary=phi == 1.0, converged=bool(res.success))
+    return CopulaFit(phi=phi, loglik=loglik, at_boundary=phi == 1.0, converged=search.success)
 
 
 def fit_bivariate(y1, y2, family1, family2, config=None):
@@ -253,8 +241,6 @@ def fit_bivariate(y1, y2, family1, family2, config=None):
     own Kendall tau is not part of the fit: ``empirical_kendall_tau(y1, y2)``
     gives it.
     """
-    import scipy.optimize  # noqa: F401  (loaded before the fork, so the child does not import it again)
-
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
     if y1.shape != y2.shape:

@@ -70,7 +70,9 @@ def _holds_values(row):
 def _sniff(fh, path, cols):
     """Column indices of ``cols``, and the file position and line number of the first data row.
 
-    The first row that holds values is the header if one of its cells fails to parse as a number.
+    The first row that holds values is the header if one of its cells fails to parse as a number. A ';' in
+    any of its cells marks a ';'-delimited export, whose decimal commas would split each value over two
+    columns: that is an IngestError.
     """
     reader = csv.reader(iter(fh.readline, ""))  # readline, unlike next, keeps tell()
     start, line = fh.tell(), 1
@@ -80,6 +82,9 @@ def _sniff(fh, path, cols):
         start, line = fh.tell(), reader.line_num + 1
     else:
         raise IngestError(f"{path}: no rows")
+    if any(";" in f for f in first):
+        raise IngestError(f"{path}: row {line} holds a ';', as a ';'-delimited export with decimal commas does: "
+                          "convert it to ',' delimiters and '.' decimals first")
     try:
         [float(f) for f in first]
         header = None

@@ -620,8 +620,44 @@ def test_cli_import_leaves_scipy_stats_out():
     assert _modules_after_cli_import("scipy.stats") == "[]"
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    # only a fit uses scipy.optimize, so estimation imports it on first use: after `import claimsplice.cli` it loads
-    # 321 scipy modules in 0.57-0.82 s and lifts max RSS from 32 to 76 MB (2-vCPU Xeon), which every simulate and eval
-    # would pay
-    assert _modules_after_cli_import("scipy.optimize") == "[]"
+# a fresh interpreter in which every `import scipy...` fails, as where scipy is not installed, runs CLI commands
+_WITHOUT_SCIPY = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name}: scipy is not a run-time dependency")
+
+sys.meta_path.insert(0, NoScipy())
+from claimsplice.cli import main
+
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    if code != 0:
+        sys.exit(f"exit {code}: {argv}")
+"""
+
+
+def test_fit_simulate_and_eval_run_without_scipy(params_json, tmp_path):
+    # the fit's two searches are ported from scipy.optimize, whose import took 321 modules, 0.43-0.82 s and 43 MB of
+    # max RSS (2-vCPU Xeon) in every fit process; scipy is a test dependency only
+    data = tmp_path / "claims.csv"
+    y1, y2 = TRUTH.sample_pairs(400, 7)
+    data.write_text("claim1,claim2\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(y1, y2)))
+
+    def commands(out):
+        out.mkdir()
+        return [["fit", "--input", str(data), "--family", "all", "--seed", "3", "--out", str(out / "fit.json")],
+                ["simulate", "--params", str(params_json), "--n", "300", "--seed", "3", "--out", str(out / "sim.csv")],
+                ["eval", "--params", str(params_json), "--input", str(data), "--seed", "3",
+                 "--out", str(out / "eval.json")]]
+
+    blocked = commands(tmp_path / "blocked")
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(blocked)], env=_env_with_src(),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    for argv in commands(tmp_path / "with-scipy"):
+        assert run(argv) == EXIT_OK
+    for name in ("fit.json", "sim.csv", "eval.json"):
+        assert (tmp_path / "blocked" / name).read_bytes() == (tmp_path / "with-scipy" / name).read_bytes(), name

@@ -130,31 +130,41 @@ def _initial_guesses(family, data, theta0):
 
 
 @pytest.mark.parametrize("family", ["weibull", "paralogistic", "invburr"])
-def test_fit_marginal_starts_where_the_oracle_does(family, monkeypatch):
-    from scipy import optimize
-
-    starts = []
-    minimize = optimize.minimize
-
-    def spy(fun, x0, **kwargs):
-        starts.append(np.array(x0))
-        return minimize(fun, x0, **kwargs)
-
-    monkeypatch.setattr(optimize, "minimize", spy)
+def test_fit_marginal_starts_where_the_oracle_does(family):
     k = FAMILIES[family].dim
     for seed in range(4):
         rng = np.random.default_rng(seed)
         # the last two samples are rounded to tens, so that the start thresholds sit on runs of ties
         data = CompositeModel(WIW).sample(300, rng) if seed % 2 else rng.lognormal(8.0, 1.2, 300)
         data = np.round(data, -1) + 10.0 if seed >= 2 else data
-        starts.clear()
-        fit_marginal(data, family, OptimizerConfig(max_iter=1))
-        assert len(starts) == 3
+        searches = fit_marginal(data, family, OptimizerConfig(max_iter=1)).searches
+        assert len(searches) == 3
         lo, hi = float(np.min(data)), float(np.max(data))
-        for q, x0 in zip([0.5, 0.7, 0.9], starts):
+        for q, search in zip([0.5, 0.7, 0.9], searches):
             raw0 = _initial_guesses(family, data, float(np.quantile(data, q)))
             expected = np.concatenate([np.log(raw0[: k + 2]), [estimation._unpack_theta(raw0[k + 2], lo, hi)]])
-            assert np.array_equal(x0, expected), (seed, q)
+            assert np.array_equal(search.start, expected), (seed, q)
+
+
+def test_fit_marginal_records_each_start(pair_and_fits, monkeypatch):
+    y1 = pair_and_fits[0]
+    calls = 0
+    composite_nll = estimation._kernels.composite_nll
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return composite_nll(*args)
+
+    monkeypatch.setattr(estimation._kernels, "composite_nll", counted)
+    fit = fit_marginal(y1, "weibull")
+    assert len(fit.searches) == 3
+    # every objective call reaches the kernel: the +inf guard never fires on this sample
+    assert sum(s.nfev for s in fit.searches) == calls > 0
+    assert fit.n_iter == sum(s.nit for s in fit.searches)
+    best = min(fit.searches, key=lambda s: s.fun)
+    assert (fit.loglik, fit.converged) == (-best.fun, best.success)
+    assert all(isinstance(v, float) for s in fit.searches for v in s.start)
 
 
 def test_fit_marginal_scale_equivariance():
@@ -286,8 +296,9 @@ def assert_no_child_left():
 def test_fit_bivariate_marginals_equal_in_process_fits(pair_and_fits):
     y1, y2, fit1, fit2 = pair_and_fits
     rep = fit_bivariate(y1, y2, "weibull", "paralogistic")
-    # dataclass ==: params, loglik, n_iter and converged, field by field
+    # dataclass ==: params, loglik, n_iter, converged and each start's search record, field by field
     assert (rep.marginal1, rep.marginal2) == (fit1, fit2)
+    assert len(rep.marginal2.searches) == 3
     assert_no_child_left()
 
 

@@ -124,17 +124,20 @@ SEMICOLON_EXPORTS = {
     "header": ("tcost_bi;tcost_pd\n1500,5;220,25\n3000;400\n12,5;7\n", ["tcost_bi,tcost_pd", "0,1", "1,0"]),
     "no-header": ("1500,5;220,25\n3000;400\n12,5;7\n12;7,25\n", ["0,1", "1,0"]),
     "integers": ("1500;220\n3000;400\n", ["0,1"]),
+    # the first row reads as a header (its middle cell "5;220" does not parse), and by columns 0 and 2 the other
+    # rows would load as (3000, 75) and (12, 5)
+    "three-cells": ("1500,5;220,25\n3000,5;400,75\n12,5;7,5\n", ["0,2", "2,0"]),
 }
 
 
 @pytest.mark.parametrize("strict", [False, True])
 @pytest.mark.parametrize("export", SEMICOLON_EXPORTS)
 def test_semicolon_decimal_comma_export_is_an_ingest_error(tmp_path, export, strict):
-    # files are comma-delimited with '.' decimals: no row of a ';' export parses into two numbers
+    # files are comma-delimited with '.' decimals: a ';' in the first row that holds values marks an export to convert
     text, specs = SEMICOLON_EXPORTS[export]
     p = write(tmp_path, text)
     for cols in specs:
-        with pytest.raises(IngestError):
+        with pytest.raises(IngestError, match="row 1 holds a ';'.*convert"):
             load_csv(p, cols=cols, strict=strict)
 
 
