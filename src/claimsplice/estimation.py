@@ -63,13 +63,17 @@ class MarginalFit:
     loglik: float
     df: int
     converged: bool
-    n_iter: int  # Nelder-Mead iterations, summed over the starts
     n: int
-    searches: tuple = ()  # one _search.Search per start, in start order
+    searches: tuple  # one _search.Search per start, in start order
 
     @property
     def model(self):
         return CompositeModel(self.params)
+
+    @property
+    def n_iter(self):
+        """Nelder-Mead iterations, summed over the starts."""
+        return sum(search.nit for search in self.searches)
 
 
 @dataclass
@@ -197,7 +201,6 @@ def fit_marginal(data, family, config=None):
         loglik=-best.fun,
         df=fam.df,
         converged=best.success,
-        n_iter=sum(search.nit for search in searches),
         n=data.size,
         searches=tuple(searches),
     )

@@ -67,12 +67,20 @@ def _holds_values(row):
     return bool(row) and any(f.strip() for f in row) and not row[0].lstrip().startswith("#")
 
 
+def _all_numbers(cells):
+    try:
+        [float(f) for f in cells]
+        return True
+    except ValueError:
+        return False
+
+
 def _sniff(fh, path, cols):
     """Column indices of ``cols``, and the file position and line number of the first data row.
 
-    The first row that holds values is the header if one of its cells fails to parse as a number. A ';' in
-    any of its cells marks a ';'-delimited export, whose decimal commas would split each value over two
-    columns: that is an IngestError.
+    The first row that holds values is the header if one of its cells fails to parse as a number. A cell of it
+    that is numbers joined by ';' marks a ';'-delimited export, whose decimal commas would split each value over
+    two columns: that is an IngestError. A ';' inside a header name is kept.
     """
     reader = csv.reader(iter(fh.readline, ""))  # readline, unlike next, keeps tell()
     start, line = fh.tell(), 1
@@ -82,13 +90,12 @@ def _sniff(fh, path, cols):
         start, line = fh.tell(), reader.line_num + 1
     else:
         raise IngestError(f"{path}: no rows")
-    if any(";" in f for f in first):
+    if any(";" in f and _all_numbers(f.split(";")) for f in first):
         raise IngestError(f"{path}: row {line} holds a ';', as a ';'-delimited export with decimal commas does: "
                           "convert it to ',' delimiters and '.' decimals first")
-    try:
-        [float(f) for f in first]
+    if _all_numbers(first):
         header = None
-    except ValueError:
+    else:
         header = [f.strip() for f in first]
         start, line = fh.tell(), reader.line_num + 1
     return _resolve_columns(header, len(first), cols), start, line

@@ -145,7 +145,7 @@ def test_fit_non_finite_claim_is_input_error(tmp_path, bad):
 @pytest.mark.parametrize("copula_converged", [True, False])
 def test_fit_report_converged_covers_the_copula(copula_converged):
     def marginal(params):
-        return MarginalFit("weibull", params, CompositeModel(params).r, -100.0, 5, True, 50, 100)
+        return MarginalFit("weibull", params, CompositeModel(params).r, -100.0, 5, True, 100, ())
 
     rep = FitReport(marginal(WIW), marginal(WIW2), CopulaFit(1.5, 10.0, False, copula_converged), n=100)
     assert _report_from_fit("wiw", rep, 0.2)["converged"] is copula_converged
